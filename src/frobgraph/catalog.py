@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 
+from .cyclo import is_prime
 from .errors import InvalidSpec, ParseError
 from .group import group_from_generators
 from .perm import Permutation, parse_cycles
@@ -115,9 +117,9 @@ def expected_order(spec):
     """Group order from the construction parameters, without building."""
     kind, p = spec.kind, spec.params
     if kind == "Symmetric":
-        return _factorial(p[0])
+        return factorial(p[0])
     if kind == "Alternating":
-        return _factorial(p[0]) // 2
+        return factorial(p[0]) // 2
     if kind == "Cyclic":
         return p[0]
     if kind == "Dihedral":
@@ -152,13 +154,6 @@ def expected_order(spec):
     if kind == "FromGenerators":
         return None  # only known after closure
     raise InvalidSpec(f"unknown spec kind {kind!r}")
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -220,7 +215,7 @@ def _build(spec, order_cap):
         return _close(n, [rot, ref], order_cap)
     if kind == "ElementaryAbelian":
         pr, k = _need(p, 2, kind)
-        if not _is_prime(pr):
+        if not is_prime(pr):
             raise InvalidSpec(f"{pr} is not prime")
         gens = [
             Permutation.from_cycles(pr * k, [tuple(range(i * pr, (i + 1) * pr))])
@@ -263,17 +258,6 @@ def _need(params, n, kind):
     if len(params) != n:
         raise InvalidSpec(f"{kind} takes {n} parameter(s), got {len(params)}")
     return params
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def _affine_group(q, d, order_cap):
@@ -395,7 +379,7 @@ def parse_permutation_spec(text):
 def affine_diam3_criterion(p, d):
     """Whether the order-(p^2 d) subgroup of AGL(1, p^2) has a diameter-3
     subgroup: d must be divisible by (p + 1) times the 2-part of (p - 1)."""
-    if not _is_prime(p):
+    if not is_prime(p):
         raise InvalidSpec(f"{p} is not prime")
     if d <= 1 or (p * p - 1) % d:
         raise InvalidSpec(f"{d} must be a divisor of {p * p - 1} greater than 1")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt, lcm
 
-from .cyclo import Cyclotomic, cyc_sum
+from .cyclo import Cyclotomic, _prime_factors, cyc_sum, is_prime
 from .errors import InternalInconsistency
 from .group import conjugacy_classes, derived_subgroup
 
@@ -187,38 +187,17 @@ def _nullspace_in_subspace(R, basis, pivots, lam, p):
 # prime selection and lifting
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def dixon_prime(exponent, order):
     """Smallest prime p = 1 (mod exponent) with p > 2*floor(sqrt(order))."""
     bound = 2 * isqrt(order)
     p = exponent + 1
-    while p <= bound or not _is_prime(p):
+    while p <= bound or not is_prime(p):
         p += exponent
     return p
 
 
 def _primitive_root(p):
-    fac = []
-    n = p - 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            fac.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        fac.append(n)
+    fac = _prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g

@@ -14,6 +14,7 @@ from .catalog import (
     parse_permutation_spec,
 )
 from .chartab import character_table, table_stats
+from .cyclo import _prime_factors
 from .depth import minimal_depth
 from .errors import FrobgraphError
 from .frobenius import (
@@ -26,7 +27,12 @@ from .frobenius import (
 from .graph import frobenius_graph
 from .group import group_from_generators
 from .perm import format_cycles, parse_cycles
-from .subgroups import classify_subgroups, enumerate_subgroup_classes, is_minimal_rich_group
+from .subgroups import (
+    classify_subgroups,
+    enumerate_subgroup_classes,
+    is_minimal_rich_group,
+    prime_order_subgroup_classes,
+)
 
 SCHEMA_VERSION = 1
 
@@ -57,30 +63,30 @@ def _select_subgroups(G, args):
         gens = [parse_cycles(t.strip(), degree=G.degree) for t in args.subgroup.split(";")]
         H = G.subgroup(gens)
         return [(f"<{args.subgroup}>", H)]
-    classes = enumerate_subgroup_classes(G)
-    if args.sylow:
+    if args.sylow is not None:
         p = args.sylow
+        # never trial-divides p itself, so a huge --sylow cannot stall
+        if p not in _prime_factors(G.order):
+            raise FrobgraphError(f"--sylow takes a prime dividing {G.order}, not {p}")
         part = 1
         n = G.order
         while n % p == 0:
             part *= p
             n //= p
-        if part == 1:
-            raise FrobgraphError(f"{p} does not divide the group order")
-        chosen = [c for c in classes if c.order == part]
-    elif args.subgroup_order:
-        chosen = [c for c in classes if c.order == args.subgroup_order]
+        chosen = [c for c in enumerate_subgroup_classes(G) if c.order == part]
+    elif args.subgroup_order is not None:
+        chosen = [c for c in enumerate_subgroup_classes(G) if c.order == args.subgroup_order]
     elif args.prime_order:
-        from .subgroups import prime_order_subgroup_classes
-
         chosen = prime_order_subgroup_classes(G)
     elif args.all_classes:
-        chosen = [c for c in classes if not c.rep.is_whole()]
+        chosen = [c for c in enumerate_subgroup_classes(G) if not c.rep.is_whole()]
     else:
         raise FrobgraphError(
             "select subgroups with --subgroup, --subgroup-order, --sylow, "
             "--prime-order or --all-classes"
         )
+    if not chosen:
+        raise FrobgraphError("no subgroup class matches the selector")
     out = []
     for i, c in enumerate(chosen):
         gens = "; ".join(format_cycles(p) for p in c.rep.generators) or "()"
@@ -140,10 +146,11 @@ def _analyze_one(G, label, H, show_tables, fmt, out):
 
 def cmd_analyze(args, out):
     G, glabel = _load_group(args)
+    selected = _select_subgroups(G, args)
     if args.format == "text":
         out.write(f"group {glabel}: order {G.order}, degree {G.degree}\n")
     payloads = []
-    for label, H in _select_subgroups(G, args):
+    for label, H in selected:
         payload = _analyze_one(G, label, H, args.show_tables, args.format, out)
         if payload is not None:
             payloads.append(payload)

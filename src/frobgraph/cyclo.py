@@ -297,6 +297,10 @@ def _prime_factors(n):
     return tuple(out)
 
 
+def is_prime(n):
+    return _prime_factors(n) == (n,)
+
+
 def _fixed_by_subfield_galois(v, f):
     """Whether v is fixed by Gal(Q(zeta_e)/Q(zeta_f)), i.e. lies in Q(zeta_f)."""
     e = v.conductor

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 from .chartab import character_table
 from .cyclo import cyc_sum
 from .errors import InternalInconsistency, NotProper
-from .group import conjugacy_classes, core, normalizer
+from .group import (
+    conjugacy_classes,
+    core,
+    normalizer,
+    orbit,
+    orbit_partition,
+    right_multiplications,
+)
 
 
 def fusion_map(G, H, tG, tH):
@@ -154,25 +161,10 @@ def induced_gram(M):
 
 def double_coset_reps(G, H):
     """Representatives of H\\G/H, least element of each coset first."""
-    assigned = bytearray(G.order)
-    gens = H.generator_indices
-    reps = []
-    for x in range(G.order):
-        if assigned[x]:
-            continue
-        reps.append(x)
-        assigned[x] = 1
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for g in gens:
-                    for z in (G.mult(g, y), G.mult(y, g)):
-                        if not assigned[z]:
-                            assigned[z] = 1
-                            nxt.append(z)
-            frontier = nxt
-    return reps
+    mult = G.mult
+    steps = [lambda y, g=g: mult(g, y) for g in H.generator_indices]
+    steps += right_multiplications(G, H.generator_indices)
+    return [points[0] for points in orbit_partition(G.order, steps)]
 
 
 def _hclass_of(H):
@@ -303,18 +295,6 @@ def bii_shortcuts(G, H):
     if not H.is_trivial() and core(G, H).order == 1:
         N = normalizer(G, H)
         nontrivial = set(H.indices) - {0}
-        if nontrivial:
-            x0 = min(nontrivial)
-            orbit = {x0}
-            frontier = [x0]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in N.generator_indices:
-                        y = G.conj(g, x)
-                        if y not in orbit:
-                            orbit.add(y)
-                            nxt.append(y)
-                frontier = nxt
-            transitive = orbit == nontrivial
+        steps = [lambda x, g=g: G.conj(g, x) for g in N.generator_indices]
+        transitive = set(orbit(min(nontrivial), steps)) == nontrivial
     return BiiShortcuts(trivial_int, transitive)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .chartab import character_table
 from .errors import InternalInconsistency
-from .group import conjugacy_classes
+from .group import conjugacy_classes, orbit_partition
 
 INFINITE = math.inf
 
@@ -83,36 +83,21 @@ def frobenius_graph(M):
             if M.entries[r][c]:
                 adjacency[c].append(n_left + r)
                 adjacency[n_left + r].append(c)
-    comp = [-1] * n
-    n_comp = 0
-    for v in range(n):
-        if comp[v] >= 0:
-            continue
-        comp[v] = n_comp
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adjacency[u]:
-                    if comp[w] < 0:
-                        comp[w] = n_comp
-                        nxt.append(w)
-            frontier = nxt
-        n_comp += 1
+    least = []  # least vertex of each vertex's component
     ecc = []
     for v in range(n):
         dist = _bfs(adjacency, v)
-        if any(d < 0 for d in dist):
-            ecc.append(INFINITE)
-        else:
-            ecc.append(max(dist))
+        least.append(next(u for u, d in enumerate(dist) if d >= 0))
+        ecc.append(INFINITE if -1 in dist else max(dist))
+    roots = sorted(set(least))
+    n_comp = len(roots)
     diameter = INFINITE if n_comp > 1 else max(ecc)
     return FrobeniusGraph(
         matrix=M,
         left_degrees=tuple(M.table_g.degrees),
         right_degrees=tuple(M.table_h.degrees),
         adjacency=tuple(tuple(a) for a in adjacency),
-        component_id=tuple(comp),
+        component_id=tuple(roots.index(r) for r in least),
         n_components=n_comp,
         eccentricity=tuple(ecc),
         diameter=diameter,
@@ -147,23 +132,6 @@ def irr_action_orbits(G, K):
                 raise InternalInconsistency("permuted character row not in table")
             perm.append(j)
         row_perms.append(perm)
-    seen = [False] * kk
-    orbits = []
-    for start in range(kk):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for perm in row_perms:
-                    y = perm[x]
-                    if not seen[y]:
-                        seen[y] = True
-                        orbit.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        orbits.append(tuple(sorted(orbit)))
+    steps = [perm.__getitem__ for perm in row_perms]
+    orbits = [tuple(sorted(points)) for points in orbit_partition(kk, steps)]
     return len(orbits), tuple(orbits)

@@ -122,26 +122,11 @@ def group_from_generators(degree, generators, order_cap=None, degree_cap=None):
     for g in gens:
         if g.degree != degree:
             raise DeskScaleExceeded(f"generator degree {g.degree} != {degree}")
-    ident = Permutation.identity(degree)
-    seen = {ident.images: ident}
-    frontier = [ident]
-    gen_imgs = [g.images for g in gens]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            pi = p.images
-            for gi in gen_imgs:
-                prod = tuple(gi[x] for x in pi)
-                if prod not in seen:
-                    q = Permutation(prod)
-                    seen[prod] = q
-                    nxt.append(q)
-                    if len(seen) > order_cap:
-                        raise DeskScaleExceeded(
-                            f"group closure exceeded order cap {order_cap}"
-                        )
-        frontier = nxt
-    return PermGroup(degree, gens, seen.values())
+    steps = [lambda p, g=g.images: tuple(map(g.__getitem__, p)) for g in gens]
+    images = orbit(tuple(range(degree)), steps, order_cap)
+    if images is None:
+        raise DeskScaleExceeded(f"group closure exceeded order cap {order_cap}")
+    return PermGroup(degree, gens, map(Permutation, images))
 
 
 def group_from_elements(degree, elements, generators=None):
@@ -154,25 +139,45 @@ def group_from_elements(degree, elements, generators=None):
 
 def closure_indices(G, gen_indices):
     """Closure of an index set under G.mult, as a frozenset of indices."""
-    members = {0}
-    members.update(gen_indices)
-    frontier = list(members - {0})
-    gens = list(gen_indices)
+    return frozenset(orbit(0, right_multiplications(G, gen_indices)))
+
+
+def right_multiplications(G, gen_indices):
+    """Steps x -> x * g; their orbit from 0 is the subgroup generated."""
     mult = G.mult
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                c = mult(a, g)
-                if c not in members:
-                    members.add(c)
-                    nxt.append(c)
-                c = mult(g, a)
-                if c not in members:
-                    members.add(c)
-                    nxt.append(c)
-        frontier = nxt
-    return frozenset(members)
+    return [lambda x, g=g: mult(x, g) for g in gen_indices]
+
+
+def orbit(start, steps, cap=None):
+    """Points reachable from start under the callables in steps.
+
+    Breadth-first order with start first, or None as soon as more than cap
+    points are found.
+    """
+    seen = {start}
+    points = [start]
+    for x in points:
+        for step in steps:
+            y = step(x)
+            if y not in seen:
+                seen.add(y)
+                points.append(y)
+                if cap is not None and len(points) > cap:
+                    return None
+    return points
+
+
+def orbit_partition(n, steps):
+    """The orbits on range(n), each listed from its least point, by least point."""
+    done = bytearray(n)
+    out = []
+    for start in range(n):
+        if not done[start]:
+            points = orbit(start, steps)
+            for y in points:
+                done[y] = 1
+            out.append(points)
+    return out
 
 
 class Subgroup:
@@ -288,29 +293,13 @@ def conjugacy_classes(G):
     if G._classdata is not None:
         return G._classdata
     n = G.order
-    class_of = [-1] * n
-    reps = []
-    members = []
-    gen_maps = [G.conj_map(g) for g in G.generator_indices]
-    for start in range(n):
-        if class_of[start] >= 0:
-            continue
-        cls = len(reps)
-        orbit = [start]
-        class_of[start] = cls
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for cm in gen_maps:
-                    y = cm[x]
-                    if class_of[y] < 0:
-                        class_of[y] = cls
-                        orbit.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        reps.append(start)
-        members.append(tuple(sorted(orbit)))
+    orbits = orbit_partition(n, [G.conj_map(g).__getitem__ for g in G.generator_indices])
+    reps = [o[0] for o in orbits]
+    members = [tuple(sorted(o)) for o in orbits]
+    class_of = [0] * n
+    for cls, o in enumerate(orbits):
+        for x in o:
+            class_of[x] = cls
     sizes = tuple(len(m) for m in members)
     if sum(sizes) != n:
         raise InternalInconsistency("class sizes do not sum to the group order")
@@ -343,14 +332,28 @@ def conjugacy_classes(G):
 
 
 def core(G, H):
-    """Largest normal subgroup of G inside H: the intersection of all conjugates."""
-    K = set(H.indices)
-    for g in range(G.order):
+    """Largest normal subgroup of G inside H: the intersection of the
+    conjugates r H r^-1 over left-coset representatives r."""
+    hset = H.indices
+    K = set(hset)
+    for r in _left_cosets(G, H)[0]:
         if len(K) == 1:
             break
-        ginv = G.inverse(g)
-        K &= {G.mult(G.mult(g, h), ginv) for h in H.indices}
+        rinv = G.inverse(r)
+        K = {k for k in K if G.conj(rinv, k) in hset}
     return Subgroup(G, frozenset(K))
+
+
+def _left_cosets(G, H):
+    """Least element of each left coset xH, and the coset number of each element."""
+    coset_of = [-1] * G.order
+    reps = []
+    for x in range(G.order):
+        if coset_of[x] < 0:
+            for h in H.indices:
+                coset_of[G.mult(x, h)] = len(reps)
+            reps.append(x)
+    return tuple(reps), tuple(coset_of)
 
 
 @dataclass
@@ -379,18 +382,7 @@ class CosetAction:
 
 def coset_action(G, H):
     """G acting on the cosets of H; kernel equals the core of H."""
-    n = G.order
-    coset_of = [-1] * n
-    reps = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        c = len(reps)
-        reps.append(x)
-        for h in H.indices:
-            coset_of[G.mult(x, h)] = c
-    reps = tuple(reps)
-    coset_of = tuple(coset_of)
+    reps, coset_of = _left_cosets(G, H)
     gen_perms = []
     for g in G.generator_indices:
         gen_perms.append(Permutation(tuple(coset_of[G.mult(g, r)] for r in reps)))
@@ -398,22 +390,13 @@ def coset_action(G, H):
     image = group_from_generators(
         len(reps), gen_perms, order_cap=G.order, degree_cap=len(reps)
     )
-    kernel = []
-    for g in range(n):
-        ok = True
-        for c, r in enumerate(reps):
-            if coset_of[G.mult(g, r)] != c:
-                ok = False
-                break
-        if ok:
-            kernel.append(g)
     act = CosetAction(
         group=G,
         subgroup=H,
         coset_reps=reps,
         coset_of=coset_of,
         image=image,
-        kernel=Subgroup(G, frozenset(kernel)),
+        kernel=core(G, H),
     )
     if image.order * act.kernel.order != G.order:
         raise InternalInconsistency("coset action image/kernel orders inconsistent")
@@ -453,8 +436,8 @@ def _commutator(G, a, b):
     )
 
 
-def derived_subset(G, member_set, gen_indices):
-    """Derived subgroup of the subgroup <gen_indices> = member_set, as indices.
+def derived_subset(G, gen_indices):
+    """Derived subgroup of the subgroup <gen_indices>, as indices.
 
     Normal closure (inside the subgroup) of the commutators of its generators.
     """
@@ -484,14 +467,14 @@ def derived_subset(G, member_set, gen_indices):
 def derived_subgroup(G):
     """Commutator subgroup of G (cached)."""
     if G._derived is None:
-        members = derived_subset(G, None, G.generator_indices)
+        members = derived_subset(G, G.generator_indices)
         G._derived = Subgroup(G, members)
     return G._derived
 
 
 def derived_subgroup_of(H):
     """Commutator subgroup of a Subgroup, as a Subgroup of the same parent."""
-    members = derived_subset(H.parent, H.indices, H.generator_indices)
+    members = derived_subset(H.parent, H.generator_indices)
     return Subgroup(H.parent, members)
 
 
@@ -501,7 +484,7 @@ def is_solvable(G):
         gens = G.generator_indices
         size = G.order
         while True:
-            D = derived_subset(G, None, gens)
+            D = derived_subset(G, gens)
             if len(D) == 1:
                 G._solvable = True
                 break
@@ -514,7 +497,7 @@ def is_solvable(G):
 
 
 def is_perfect_subset(G, member_set, gen_indices):
-    return len(derived_subset(G, member_set, gen_indices)) == len(member_set)
+    return len(derived_subset(G, gen_indices)) == len(member_set)
 
 
 def conjugate_indices(G, indices, g):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .cyclo import _prime_factors
 from .errors import InvalidSpec
 
 # irreducible polynomial coefficients, ascending degree, monic
@@ -26,27 +27,19 @@ IRREDUCIBLE = {
 }
 
 
-def _factor_prime_power(q):
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise InvalidSpec(f"{q} is not a prime power")
-            return p, k
-    raise InvalidSpec(f"{q} is not a prime power")
-
-
 class GF:
     """Arithmetic tables for GF(q)."""
 
     def __init__(self, q):
         if not 2 <= q <= 343:
             raise InvalidSpec(f"field size {q} outside supported range 2..343")
-        p, k = _factor_prime_power(q)
+        primes = _prime_factors(q)
+        if len(primes) != 1:
+            raise InvalidSpec(f"{q} is not a prime power")
+        p = primes[0]
+        k = 1
+        while p**k < q:
+            k += 1
         self.q = q
         self.p = p
         self.k = k

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .cyclo import is_prime
 from .errors import DeskScaleExceeded
 from .frobenius import Verdict, is_diameter_three, is_rich
 from .depth import minimal_depth
@@ -25,6 +26,9 @@ from .group import (
     is_perfect_subset,
     is_solvable,
     normalizer,
+    orbit,
+    orbit_partition,
+    right_multiplications,
     _greedy_generators,
 )
 
@@ -57,20 +61,9 @@ class SubgroupClassList:
 
 
 def _orbit_of_subgroup(G, indices):
-    """All G-conjugates of an index set, as a set of frozensets."""
-    start = frozenset(indices)
-    orbit = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in G.generator_indices:
-                t = conjugate_indices(G, s, g)
-                if t not in orbit:
-                    orbit.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return orbit
+    """All G-conjugates of an index set, as a list of frozensets."""
+    steps = [lambda s, g=g: conjugate_indices(G, s, g) for g in G.generator_indices]
+    return orbit(frozenset(indices), steps)
 
 
 class _Enumerator:
@@ -84,16 +77,16 @@ class _Enumerator:
         fz = frozenset(members)
         if fz in self.seen:
             return None
-        orbit = _orbit_of_subgroup(self.G, fz)
-        rep_set = min(orbit, key=lambda s: tuple(sorted(s)))
+        conjugates = _orbit_of_subgroup(self.G, fz)
+        rep_set = min(conjugates, key=lambda s: tuple(sorted(s)))
         cls_id = len(self.classes)
-        for s in orbit:
+        for s in conjugates:
             self.seen[s] = cls_id
         if rep_set == fz and gen_indices is not None:
             rep = Subgroup(self.G, rep_set, gen_indices)
         else:
             rep = Subgroup(self.G, rep_set)
-        record = SubgroupClass(rep=rep, length=len(orbit))
+        record = SubgroupClass(rep=rep, length=len(conjugates))
         self.classes.append(record)
         self.work.append(record)
         return record
@@ -125,7 +118,7 @@ class _Enumerator:
             while zp not in hset:
                 zp = G.mult(zp, z)
                 m += 1
-            if m == 1 or not _is_small_prime(m):
+            if not is_prime(m):
                 continue
             members = set(hset)
             zt = z
@@ -153,25 +146,13 @@ class _Enumerator:
             cyclic_x = closure_indices(G, (x,))
             cent = centralizer_of_element(G, x)
             cent_gens = _greedy_generators(G, frozenset(cent))
-            orbit_rep = [-1] * G.order
-            for y in range(G.order):
-                if orbit_rep[y] >= 0 or y in cyclic_x:
+            cent_steps = [lambda t, c=c: G.conj(c, t) for c in cent_gens]
+            # one y per orbit of the centralizer of x acting by conjugation
+            for points in orbit_partition(G.order, cent_steps):
+                y = points[0]
+                if y in cyclic_x:
                     continue
-                # orbit of y under conjugation by the centralizer of x
-                orbit = [y]
-                orbit_rep[y] = y
-                frontier = [y]
-                while frontier:
-                    nxt = []
-                    for t in frontier:
-                        for c in cent_gens:
-                            u = G.conj(c, t)
-                            if orbit_rep[u] < 0:
-                                orbit_rep[u] = y
-                                orbit.append(u)
-                                nxt.append(u)
-                    frontier = nxt
-                members = self._closure_capped((x, y), half)
+                members = orbit(0, right_multiplications(G, (x, y)), half)
                 if members is None:
                     continue
                 n = len(members)
@@ -181,36 +162,6 @@ class _Enumerator:
                     continue
                 if is_perfect_subset(G, members, (x, y)):
                     self.register(members, (x, y))
-
-    def _closure_capped(self, gens, cap):
-        """Closure of gens, or None once it must be the whole group."""
-        G = self.G
-        members = {0}
-        members.update(gens)
-        frontier = [g for g in gens if g]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    for c in (G.mult(a, g), G.mult(g, a)):
-                        if c not in members:
-                            members.add(c)
-                            nxt.append(c)
-                            if len(members) > cap:
-                                return None
-            frontier = nxt
-        return frozenset(members)
-
-
-def _is_small_prime(m):
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def enumerate_subgroup_classes(G):
@@ -225,15 +176,15 @@ def prime_order_subgroup_classes(G):
     seen = set()
     classes = []
     for x in range(1, G.order):
-        if not _is_small_prime(G.element_order(x)):
+        if not is_prime(G.element_order(x)):
             continue
         members = closure_indices(G, (x,))
         if members in seen:
             continue
-        orbit = _orbit_of_subgroup(G, members)
-        seen.update(orbit)
-        rep_set = min(orbit, key=lambda s: tuple(sorted(s)))
-        classes.append(SubgroupClass(rep=Subgroup(G, rep_set), length=len(orbit)))
+        conjugates = _orbit_of_subgroup(G, members)
+        seen.update(conjugates)
+        rep_set = min(conjugates, key=lambda s: tuple(sorted(s)))
+        classes.append(SubgroupClass(rep=Subgroup(G, rep_set), length=len(conjugates)))
     classes.sort(key=lambda c: (c.order, c.rep.sorted_indices()))
     return classes
 

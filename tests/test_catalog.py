@@ -43,6 +43,7 @@ def test_constructed_orders():
         ("D12", 12),
         ("EA:2:4", 16),
         ("AGL1:8", 56),
+        ("AGL1:53", 2756),
         ("AGL1:27:13", 351),
         ("SL2:5", 120),
         ("PSL2:7", 168),
@@ -211,7 +212,7 @@ def _polmod_has_zero_remainder(p, num, den):
 
 
 def test_field_tables_are_fields():
-    for q in (4, 8, 9, 16, 25, 27, 32, 49):
+    for q in (4, 8, 9, 16, 25, 27, 32, 49, 53, 101):
         F = gf(q)
         assert F.element_order(F.primitive) == q - 1
         # distributivity spot check

@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from frobgraph.cli import main
 
@@ -139,3 +145,39 @@ def test_show_tables(capsys):
     )
     assert code == 0
     assert "character table of G:" in out
+
+
+def test_sylow_one_fails_without_hanging():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobgraph", "analyze", "--group", "S4", "--sylow", "1"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1
+    assert "takes a prime" in proc.stderr
+
+
+@pytest.mark.parametrize("p", ["4", "0", "-2", "5", "1000000000000000003"])
+def test_sylow_must_be_a_prime_divisor(capsys, p):
+    code, out, err = run_cli(capsys, "analyze", "--group", "S4", "--sylow", p)
+    assert code == 1
+    assert "takes a prime" in err
+    assert out == ""
+
+
+def test_selector_matching_nothing_fails(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--group", "S4", "--subgroup-order", "7")
+    assert code == 1
+    assert "no subgroup class matches" in err
+    assert out == ""
+
+
+def test_prime_order_does_not_enumerate(capsys, monkeypatch):
+    def refuse(G):
+        raise AssertionError("full enumeration is not needed for --prime-order")
+
+    monkeypatch.setattr("frobgraph.cli.enumerate_subgroup_classes", refuse)
+    code, out, _ = run_cli(capsys, "analyze", "--group", "A4", "--prime-order")
+    assert code == 0
+    assert out.count("subgroup class") == 2

@@ -11,6 +11,7 @@ from frobgraph.group import (
     group_from_generators,
     is_solvable,
     normalizer,
+    orbit,
     subgroups_conjugate,
 )
 from frobgraph.perm import Permutation
@@ -44,6 +45,28 @@ def test_order_cap_enforced():
     ]
     with pytest.raises(DeskScaleExceeded):
         group_from_generators(6, gens, order_cap=100)
+
+
+def test_orbit_cap_start_and_order():
+    step = lambda x: (x + 3) % 12  # orbit of 1 is {1, 4, 7, 10}
+    assert orbit(1, [step]) == [1, 4, 7, 10]
+    assert orbit(1, [step], cap=4) == [1, 4, 7, 10]
+    assert orbit(1, [step], cap=3) is None
+    assert orbit(5, []) == [5]
+    # breadth first: both neighbours of the start come before distance two
+    assert orbit(0, [lambda x: (x + 1) % 6, lambda x: (x - 1) % 6]) == [0, 1, 5, 2, 4, 3]
+
+
+def test_orbit_partition_matches_conjugacy_classes_s4():
+    G = group("S4")
+    steps = [lambda x, g=g: G.conj(g, x) for g in G.generator_indices]
+    parts = []
+    for x in range(G.order):
+        if not any(x in p for p in parts):
+            parts.append(set(orbit(x, steps)))
+    cd = conjugacy_classes(G)
+    assert [sorted(p) for p in parts] == [list(m) for m in cd.members]
+    assert [min(p) for p in parts] == list(cd.rep_indices)
 
 
 def test_conjugacy_classes_against_brute_force():
