@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
+from .config import DEFAULT_ORDER_CAP
 from .cyclo import is_prime
-from .errors import InvalidSpec, ParseError
+from .errors import DeskScaleExceeded, InvalidSpec, ParseError
 from .group import group_from_generators
 from .perm import Permutation, parse_cycles
 from .smallfield import gf
@@ -171,6 +172,14 @@ def construct(spec, order_cap=None):
 
 def _build(spec, order_cap):
     kind, p = spec.kind, spec.params
+    degree = _degree(spec)
+    cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
+    # a catalog group has at least as many elements as points, so this
+    # refuses before any primality test or permutation of that degree
+    if degree is not None and degree > cap:
+        raise DeskScaleExceeded(
+            f"{spec.label()} acts on {degree} points, more than the order cap {cap}"
+        )
     if kind == "Named":
         if p[0] == "V9C2x2":
             gens = [parse_cycles(s, degree=13) for s in _V9C2X2_GENS]
@@ -252,6 +261,30 @@ def _build(spec, order_cap):
             raise InvalidSpec("only PSL(3,2) is cataloged")
         return _psl32(order_cap)
     raise InvalidSpec(f"unknown spec kind {kind!r}")
+
+
+def _degree(spec):
+    """Points a parametrised family acts on, known before building; the
+    trivial A1 and A2 count as one point.  None for the other kinds."""
+    kind, p = spec.kind, spec.params
+    if kind in ("Symmetric", "Cyclic", "AGL1"):
+        return _need(p, 1, kind)[0]
+    if kind == "Alternating":
+        n = _need(p, 1, kind)[0]
+        return n if n >= 3 else 1
+    if kind == "Dihedral":
+        return _need(p, 1, kind)[0] // 2
+    if kind == "ElementaryAbelian":
+        pr, k = _need(p, 2, kind)
+        return pr * k
+    if kind == "AGL1Subgroup":
+        return _need(p, 2, kind)[0]
+    if kind == "SL2":
+        q = _need(p, 1, kind)[0]
+        return q * q - 1
+    if kind == "PSL2":
+        return _need(p, 1, kind)[0] + 1
+    return None
 
 
 def _need(params, n, kind):

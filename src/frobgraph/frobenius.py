@@ -17,6 +17,7 @@ from .cyclo import cyc_sum
 from .errors import InternalInconsistency, NotProper
 from .group import (
     conjugacy_classes,
+    conjugations,
     core,
     normalizer,
     orbit,
@@ -295,6 +296,6 @@ def bii_shortcuts(G, H):
     if not H.is_trivial() and core(G, H).order == 1:
         N = normalizer(G, H)
         nontrivial = set(H.indices) - {0}
-        steps = [lambda x, g=g: G.conj(g, x) for g in N.generator_indices]
+        steps = conjugations(G, N.generator_indices)
         transitive = set(orbit(min(nontrivial), steps)) == nontrivial
     return BiiShortcuts(trivial_int, transitive)

@@ -4,16 +4,29 @@ Everything is desk scale: a group is a sorted tuple of all its elements plus
 an index for O(1) membership, and the expensive operations (normalizers,
 cores, conjugacy of subgroups) are element filters.  Index 0 is always the
 identity because image tuples sort lexicographically.
+
+Index arithmetic has two paths, chosen once per group from its order.  Up to
+order _TABLE_MAX_ORDER (2048) a right-multiplication table of uint16 rows is
+built on first use, 2 n^2 bytes (8.4 MB at the cutoff), and products,
+inverses and conjugates are lookups; larger groups compose image tuples.
+Both paths return the same indices.  Nothing outside this module sees the
+table: callers use `mult`, `inverse`, `conj` and the step helpers
+`right_multiplications` and `conjugations`.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import lcm
 
 from .config import DEFAULT_DEGREE_CAP, DEFAULT_ORDER_CAP
 from .errors import DeskScaleExceeded, InternalInconsistency
 from .perm import Permutation
+
+
+# Largest order that gets a multiplication table (n rows of n uint16).
+_TABLE_MAX_ORDER = 2048
 
 
 class PermGroup:
@@ -23,6 +36,9 @@ class PermGroup:
     arithmetic helpers (`mult`, `inverse`, `conj`) work on indices.  Instances
     are immutable after construction and cache derived data (conjugacy
     classes, character table, derived subgroup) on first use.
+
+    Up to order 2048 the arithmetic reads a table of n uint16 rows (2 n^2
+    bytes) built on first use; larger groups compose image tuples.
     """
 
     def __init__(self, degree, generators, elements):
@@ -37,6 +53,7 @@ class PermGroup:
             raise InternalInconsistency("nontrivial group needs generators")
         self.generators = gens if gens else (Permutation.identity(degree),)
         self.generator_indices = tuple(self.index[g.images] for g in self.generators)
+        self._rows = None
         self._inverses = None
         self._conj_maps = {}
         self._orders = None
@@ -45,17 +62,49 @@ class PermGroup:
         self._derived = None
         self._solvable = None
         self._subgroup_classes = None
+        if self.order > _TABLE_MAX_ORDER:
+            self.mult = self._compose
+            self.inverse = self._compose_inverse
+            self.conj = self._compose_conj
 
     # ------------------------------------------------------------------
     # index arithmetic
+    #
+    # mult, inverse and conj below run at most once per group: the table
+    # they build binds instance attributes of the same names, which shadow
+    # them.  Above the cutoff __init__ binds the _compose* methods instead.
 
     def mult(self, a, b):
         """Index of elements[a] * elements[b] (b acts first)."""
+        self._table()
+        return self.mult(a, b)
+
+    def inverse(self, a):
+        self._table()
+        return self.inverse(a)
+
+    def conj(self, g, x):
+        """Index of g x g^-1."""
+        self._table()
+        return self.conj(g, x)
+
+    def _table(self):
+        """Rows with rows[b][x] == mult(x, b), built on the first call; None
+        above the cutoff."""
+        if self._rows is None and self.order <= _TABLE_MAX_ORDER:
+            rows = self._rows = _right_multiplication_rows(self)
+            inv = self._inverses = array("H", [r.index(0) for r in rows])
+            self.mult = lambda a, b: rows[b][a]
+            self.inverse = inv.__getitem__
+            self.conj = lambda g, x: rows[inv[g]][rows[x][g]]
+        return self._rows
+
+    def _compose(self, a, b):
         ia = self.elements[a].images
         ib = self.elements[b].images
         return self.index[tuple(ia[x] for x in ib)]
 
-    def inverse(self, a):
+    def _compose_inverse(self, a):
         if self._inverses is None:
             inv = [0] * self.order
             for i, p in enumerate(self.elements):
@@ -63,22 +112,30 @@ class PermGroup:
             self._inverses = inv
         return self._inverses[a]
 
-    def conj(self, g, x):
-        """Index of g x g^-1."""
+    def _compose_conj(self, g, x):
         return self.mult(self.mult(g, x), self.inverse(g))
 
     def conj_map(self, g):
-        """Cached table x -> g x g^-1 for a fixed conjugator g."""
+        """Map x -> g x g^-1 as a sequence indexed by x; cached for generators."""
         cm = self._conj_maps.get(g)
         if cm is None:
-            gi = self.elements[g].images
-            ginv = self.elements[self.inverse(g)].images
-            idx = self.index
-            cm = [
-                idx[tuple(gi[x.images[ginv[t]]] for t in range(self.degree))]
-                for x in self.elements
-            ]
-            self._conj_maps[g] = cm
+            rows = self._table()
+            ginv = self.inverse(g)
+            if rows is not None:
+                # x -> x^-1 g^-1 -> g x -> g x g^-1
+                right = rows[ginv].__getitem__
+                inv = self._inverses
+                cm = array("H", map(right, map(inv.__getitem__, map(right, inv))))
+            else:
+                gi = self.elements[g].images
+                gv = self.elements[ginv].images
+                idx = self.index
+                cm = [
+                    idx[tuple(gi[x.images[gv[t]]] for t in range(self.degree))]
+                    for x in self.elements
+                ]
+            if g in self.generator_indices:
+                self._conj_maps[g] = cm
         return cm
 
     def power(self, a, k):
@@ -137,6 +194,35 @@ def group_from_elements(degree, elements, generators=None):
     return PermGroup(degree, generators, elements)
 
 
+def _right_multiplication_rows(G):
+    """rows[b][x] = index of x * b, for every b.
+
+    Each generator's row comes from the image tuples; breadth-first search
+    from the identity fills the rest, rows[b * g][x] = rows[g][rows[b][x]].
+    """
+    n = G.order
+    index = G.index
+    gen_rows = []
+    for g in G.generator_indices:
+        gi = G.elements[g].images
+        gen_rows.append(
+            array("H", [index[tuple(map(x.images.__getitem__, gi))] for x in G.elements])
+        )
+    rows = [None] * n
+    rows[0] = array("H", range(n))
+    found = [0]
+    for b in found:
+        rb = rows[b]
+        for rg in gen_rows:
+            c = rg[b]
+            if rows[c] is None:
+                rows[c] = array("H", map(rg.__getitem__, rb))
+                found.append(c)
+    if len(found) != n:
+        raise InternalInconsistency("generators do not reach every element")
+    return rows
+
+
 def closure_indices(G, gen_indices):
     """Closure of an index set under G.mult, as a frozenset of indices."""
     return frozenset(orbit(0, right_multiplications(G, gen_indices)))
@@ -144,8 +230,19 @@ def closure_indices(G, gen_indices):
 
 def right_multiplications(G, gen_indices):
     """Steps x -> x * g; their orbit from 0 is the subgroup generated."""
+    rows = G._table()
+    if rows is not None:
+        return [rows[g].__getitem__ for g in gen_indices]
     mult = G.mult
     return [lambda x, g=g: mult(x, g) for g in gen_indices]
+
+
+def conjugations(G, gen_indices):
+    """Steps x -> g x g^-1; their orbits are the classes under <gen_indices>."""
+    if G._table() is not None:
+        return [G.conj_map(g).__getitem__ for g in gen_indices]
+    conj = G.conj
+    return [lambda x, g=g: conj(g, x) for g in gen_indices]
 
 
 def orbit(start, steps, cap=None):
@@ -502,9 +599,8 @@ def is_perfect_subset(G, member_set, gen_indices):
 
 def conjugate_indices(G, indices, g):
     """The set g S g^-1 for an index set S."""
-    ginv = G.inverse(g)
-    mult = G.mult
-    return frozenset(mult(mult(g, x), ginv) for x in indices)
+    conj = G.conj
+    return frozenset([conj(g, x) for x in indices])
 
 
 def subgroups_conjugate(G, H1, H2):

@@ -21,8 +21,8 @@ from .group import (
     Subgroup,
     centralizer_of_element,
     closure_indices,
-    conjugate_indices,
     conjugacy_classes,
+    conjugations,
     is_perfect_subset,
     is_solvable,
     normalizer,
@@ -62,7 +62,10 @@ class SubgroupClassList:
 
 def _orbit_of_subgroup(G, indices):
     """All G-conjugates of an index set, as a list of frozensets."""
-    steps = [lambda s, g=g: conjugate_indices(G, s, g) for g in G.generator_indices]
+    steps = [
+        lambda s, c=c: frozenset(map(c, s))
+        for c in conjugations(G, G.generator_indices)
+    ]
     return orbit(frozenset(indices), steps)
 
 
@@ -146,9 +149,8 @@ class _Enumerator:
             cyclic_x = closure_indices(G, (x,))
             cent = centralizer_of_element(G, x)
             cent_gens = _greedy_generators(G, frozenset(cent))
-            cent_steps = [lambda t, c=c: G.conj(c, t) for c in cent_gens]
             # one y per orbit of the centralizer of x acting by conjugation
-            for points in orbit_partition(G.order, cent_steps):
+            for points in orbit_partition(G.order, conjugations(G, cent_gens)):
                 y = points[0]
                 if y in cyclic_x:
                     continue

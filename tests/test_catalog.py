@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from helpers import group
@@ -11,7 +16,7 @@ from frobgraph.catalog import (
     parse_group_spec,
     parse_permutation_spec,
 )
-from frobgraph.errors import InvalidSpec, ParseError
+from frobgraph.errors import DeskScaleExceeded, InvalidSpec, ParseError
 from frobgraph.group import conjugacy_classes, derived_subgroup
 from frobgraph.smallfield import IRREDUCIBLE, gf
 from frobgraph.subgroups import enumerate_subgroup_classes, has_diameter_three_subgroup
@@ -254,3 +259,20 @@ def test_spec_validation_errors():
         construct(GroupSpec("ElementaryAbelian", (4, 2)))
     with pytest.raises(InvalidSpec):
         construct(GroupSpec("PSL3", (3,)))
+
+
+def test_huge_prime_spec_fails_without_hanging():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobgraph", "table", "--group", "EA:1000000000000000003:1"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1
+    assert "order cap" in proc.stderr
+
+
+@pytest.mark.parametrize("text", ["C20000", "S20000"])
+def test_spec_with_more_points_than_the_order_cap_is_refused(text):
+    with pytest.raises(DeskScaleExceeded, match="order cap"):
+        construct(parse_group_spec(text))

@@ -4,7 +4,9 @@ from helpers import brute_conjugacy_partition, brute_core, group, subgroup_of_or
 
 from frobgraph.errors import DeskScaleExceeded
 from frobgraph.group import (
+    closure_indices,
     conjugacy_classes,
+    conjugations,
     core,
     coset_action,
     derived_subgroup,
@@ -12,6 +14,7 @@ from frobgraph.group import (
     is_solvable,
     normalizer,
     orbit,
+    right_multiplications,
     subgroups_conjugate,
 )
 from frobgraph.perm import Permutation
@@ -143,7 +146,10 @@ def test_coset_action_kernel_equals_core():
 
         for cls in enumerate_subgroup_classes(G):
             act = coset_action(G, cls.rep)
-            assert act.kernel.indices == core(G, cls.rep).indices
+            acts_trivially = {
+                g for g in range(G.order) if act.image_of(g).is_identity()
+            }
+            assert core(G, cls.rep).indices == acts_trivially
             assert act.image.order * act.kernel.order == G.order
 
 
@@ -204,3 +210,39 @@ def test_subgroups_conjugate_is_equivalence():
             for c in reps:
                 if ab and subgroups_conjugate(S4, b, c)[0]:
                     assert subgroups_conjugate(S4, a, c)[0]
+
+
+def _check_arithmetic(G, pairs):
+    """mult, inverse, conj and the step helpers against Permutation products."""
+    E = G.elements
+    for a, b in pairs:
+        assert E[G.mult(a, b)] == E[a] * E[b]
+        assert E[G.conj(a, b)] == E[a] * E[b] * E[a].inverse()
+        (right,) = right_multiplications(G, (b,))
+        assert right(a) == G.mult(a, b)
+        (conj,) = conjugations(G, (a,))
+        assert conj(b) == G.conj(a, b)
+    for a in {a for a, _ in pairs}:
+        assert E[G.inverse(a)] == E[a].inverse()
+        assert list(G.conj_map(a)) == [G.conj(a, x) for x in range(G.order)]
+
+
+@pytest.mark.parametrize("name", ["A5", "S4", "AGL1:9:4"])
+def test_table_agrees_with_permutation_products(name):
+    G = group(name)
+    n = G.order
+    _check_arithmetic(G, [(a, b) for a in range(n) for b in range(n)])
+    rows = G._rows
+    assert len(rows) == n
+    assert all(row.typecode == "H" and len(row) == n for row in rows)
+
+
+def test_no_table_above_the_cutoff():
+    G = group("S7")
+    n = G.order
+    assert n > 2048
+    step = 997  # coprime to 5040, so the pairs spread over the group
+    _check_arithmetic(G, [(a * step % n, (a * a + 1) * step % n) for a in range(60)])
+    assert len(closure_indices(G, (1, n - 1))) > 1
+    assert len(conjugacy_classes(G)) == 15
+    assert G._rows is None
