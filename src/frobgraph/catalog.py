@@ -411,7 +411,15 @@ def parse_permutation_spec(text):
 
 def affine_diam3_criterion(p, d):
     """Whether the order-(p^2 d) subgroup of AGL(1, p^2) has a diameter-3
-    subgroup: d must be divisible by (p + 1) times the 2-part of (p - 1)."""
+    subgroup: d must be divisible by (p + 1) times the 2-part of (p - 1).
+
+    AGL(1, p^2) acts on p^2 points, so p^2 above the order cap is refused
+    before p is tested for primality, as `construct` refuses such specs.
+    """
+    if p * p > DEFAULT_ORDER_CAP:
+        raise DeskScaleExceeded(
+            f"AGL1:{p * p} acts on {p * p} points, more than the order cap {DEFAULT_ORDER_CAP}"
+        )
     if not is_prime(p):
         raise InvalidSpec(f"{p} is not prime")
     if d <= 1 or (p * p - 1) % d:

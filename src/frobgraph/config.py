@@ -1,7 +1,8 @@
 """Desk-scale limits.
 
-Every bound here is a default; the functions that enforce a bound accept an
-override argument, and the CLI exposes --cap.
+The order and degree caps are defaults: `group_from_generators` and
+`construct` accept overrides, and the CLI's --cap overrides the order cap.
+The conductor cap of cyclotomic arithmetic is fixed.
 """
 
 DEFAULT_ORDER_CAP = 10_080

@@ -105,9 +105,6 @@ class Cyclotomic:
     def is_rational(self):
         return not any(self.coeffs[1:])
 
-    def is_zero(self):
-        return not any(self.coeffs)
-
     def to_rational_integer(self):
         if any(self.coeffs[1:]):
             raise NotRational(f"{self} is not a rational integer")
@@ -131,15 +128,15 @@ class Cyclotomic:
         """Coefficient tuple at conductor e2; a total ordering key."""
         return self.lift(e2).coeffs
 
-    def _common(self, other, cap):
+    def _common(self, other):
         e = lcm(self.conductor, other.conductor)
-        if e > cap:
-            raise ConductorOverflow(f"conductor {e} exceeds cap {cap}")
+        if e > DEFAULT_CONDUCTOR_CAP:
+            raise ConductorOverflow(f"conductor {e} exceeds cap {DEFAULT_CONDUCTOR_CAP}")
         return self.lift(e), other.lift(e)
 
     # -- ring operations --------------------------------------------------
 
-    def __add__(self, other, cap=DEFAULT_CONDUCTOR_CAP):
+    def __add__(self, other):
         if isinstance(other, int):
             other = Cyclotomic.from_int(other)
         if not isinstance(other, Cyclotomic):
@@ -150,7 +147,7 @@ class Cyclotomic:
                 tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
                 _reduced=True,
             )
-        a, b = self._common(other, cap)
+        a, b = self._common(other)
         return a + b
 
     __radd__ = __add__
@@ -171,7 +168,7 @@ class Cyclotomic:
     def scale(self, c):
         return Cyclotomic(self.conductor, tuple(c * x for x in self.coeffs), _reduced=True)
 
-    def __mul__(self, other, cap=DEFAULT_CONDUCTOR_CAP):
+    def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         if not isinstance(other, Cyclotomic):
@@ -180,7 +177,7 @@ class Cyclotomic:
             return other.scale(self.coeffs[0])
         if other.is_rational:
             return self.scale(other.coeffs[0])
-        a, b = self._common(other, cap)
+        a, b = self._common(other)
         e = a.conductor
         raw = [0] * (2 * e)
         bc = b.coeffs
@@ -279,7 +276,6 @@ class Cyclotomic:
 
 
 ZERO = Cyclotomic.from_int(0)
-ONE = Cyclotomic.from_int(1)
 
 
 @lru_cache(maxsize=None)

@@ -28,10 +28,8 @@ from .group import (
 
 def fusion_map(G, H, tG, tH):
     """For each class of H, the index of the G-class containing it."""
-    fuse = []
-    for rep in tH.classes.representatives:
-        g_idx = G.index[rep.images]
-        fuse.append(tG.classes.class_of_index[g_idx])
+    pos = H.sorted_indices()
+    fuse = [tG.classes.class_of_index[pos[r]] for r in tH.classes.rep_indices]
     if fuse[0] != 0:
         raise InternalInconsistency("identity class did not fuse to identity")
     for hc, gc in enumerate(fuse):
@@ -171,14 +169,8 @@ def double_coset_reps(G, H):
 def _hclass_of(H):
     """Map from parent element index to H-class index, for elements of H."""
     if H._hclass_of is None:
-        HG = H.as_group()
-        cd = conjugacy_classes(HG)
-        G = H.parent
-        out = {}
-        for idx in H.indices:
-            h_idx = HG.index[G.elements[idx].images]
-            out[idx] = cd.class_of_index[h_idx]
-        H._hclass_of = out
+        cd = conjugacy_classes(H.as_group())
+        H._hclass_of = dict(zip(H.sorted_indices(), cd.class_of_index))
     return H._hclass_of
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .chartab import character_table
 from .errors import InternalInconsistency
-from .group import conjugacy_classes, orbit_partition
+from .group import orbit_partition
 
 INFINITE = math.inf
 
@@ -112,18 +112,16 @@ def irr_action_orbits(G, K):
     """
     if not K.is_normal():
         raise InternalInconsistency("irr_action_orbits requires a normal subgroup")
-    KG = K.as_group()
-    tK = character_table(KG)
-    cd = conjugacy_classes(KG)
+    tK = character_table(K.as_group())
+    cd = tK.classes
     kk = tK.k
     e = tK.exponent
     row_key = {tuple(v.key_at(e) for v in tK.values[i]): i for i in range(kk)}
+    pos = K.sorted_indices()
+    class_of = dict(zip(pos, cd.class_of_index))
     row_perms = []
     for g in G.generator_indices:
-        class_perm = []
-        for rep in cd.representatives:
-            conj_img = G.conj(g, G.index[rep.images])
-            class_perm.append(cd.class_of_index[KG.index[G.elements[conj_img].images]])
+        class_perm = [class_of[G.conj(g, pos[r])] for r in cd.rep_indices]
         perm = []
         for i in range(kk):
             permuted = tuple(tK.values[i][class_perm[c]].key_at(e) for c in range(kk))

@@ -2,8 +2,10 @@
 
 Everything is desk scale: a group is a sorted tuple of all its elements plus
 an index for O(1) membership, and the expensive operations (normalizers,
-cores, conjugacy of subgroups) are element filters.  Index 0 is always the
-identity because image tuples sort lexicographically.
+cores, conjugacy of subgroups) are element filters.  The filter "every g with
+g x g^-1 in T for each x in X" is `conjugators`; normalizers, centralizers
+and subgroup conjugacy all go through it.  Index 0 is always the identity
+because image tuples sort lexicographically.
 
 Index arithmetic has two paths, chosen once per group from its order.  Up to
 order _TABLE_MAX_ORDER (2048) a right-multiplication table of uint16 rows is
@@ -186,14 +188,6 @@ def group_from_generators(degree, generators, order_cap=None, degree_cap=None):
     return PermGroup(degree, gens, map(Permutation, images))
 
 
-def group_from_elements(degree, elements, generators=None):
-    """Wrap an explicitly known element set (e.g. a subgroup) as a group."""
-    elements = list(elements)
-    if generators is None:
-        generators = elements
-    return PermGroup(degree, generators, elements)
-
-
 def _right_multiplication_rows(G):
     """rows[b][x] = index of x * b, for every b.
 
@@ -307,11 +301,14 @@ class Subgroup:
         return tuple(self.parent.elements[i] for i in self.sorted_indices())
 
     def as_group(self):
-        """The subgroup as a standalone PermGroup of the same degree."""
+        """The subgroup as a standalone PermGroup of the same degree.
+
+        Both sides sort by image tuple, so element i of the result is parent
+        element sorted_indices()[i].
+        """
         if self._as_group is None:
-            gens = self.generators or (Permutation.identity(self.parent.degree),)
-            self._as_group = group_from_elements(
-                self.parent.degree, self.permutations(), gens
+            self._as_group = PermGroup(
+                self.parent.degree, self.generators, self.permutations()
             )
         return self._as_group
 
@@ -500,30 +497,28 @@ def coset_action(G, H):
     return act
 
 
-def normalizer(G, H):
-    """N_G(H) by element filtering."""
-    if H._normalizer is not None:
-        return H._normalizer
-    gens = H.generator_indices
-    members = []
-    hset = H.indices
+def conjugators(G, xs, target):
+    """The g, in index order, with g x g^-1 in target for every x in xs.
+
+    Yields index 0 (the identity) when xs already lies in target, so test a
+    first witness against None, not by truthiness.
+    """
+    conj = G.conj
     for g in range(G.order):
-        ginv = G.inverse(g)
-        ok = True
-        for h in gens:
-            if G.mult(G.mult(g, h), ginv) not in hset:
-                ok = False
+        for x in xs:
+            if conj(g, x) not in target:
                 break
-        if ok:
-            members.append(g)
-    N = Subgroup(G, frozenset(members))
-    H._normalizer = N
-    return N
+        else:
+            yield g
 
 
-def centralizer_of_element(G, x):
-    """Indices of elements commuting with element index x."""
-    return [g for g in range(G.order) if G.mult(g, x) == G.mult(x, g)]
+def normalizer(G, H):
+    """N_G(H): the elements conjugating H's generators into H (cached)."""
+    if H._normalizer is None:
+        H._normalizer = Subgroup(
+            G, frozenset(conjugators(G, H.generator_indices, H.indices))
+        )
+    return H._normalizer
 
 
 def _commutator(G, a, b):
@@ -593,24 +588,14 @@ def is_solvable(G):
     return G._solvable
 
 
-def is_perfect_subset(G, member_set, gen_indices):
-    return len(derived_subset(G, gen_indices)) == len(member_set)
-
-
-def conjugate_indices(G, indices, g):
-    """The set g S g^-1 for an index set S."""
-    conj = G.conj
-    return frozenset([conj(g, x) for x in indices])
-
-
 def subgroups_conjugate(G, H1, H2):
-    """Whether some g in G maps H1 onto H2; returns (bool, witness or None)."""
-    if H1.order != H2.order:
-        return False, None
-    if H1.indices == H2.indices:
-        return True, Permutation.identity(G.degree)
-    target = H2.indices
-    for g in range(G.order):
-        if conjugate_indices(G, H1.indices, g) == target:
+    """Whether some g in G maps H1 onto H2; returns (bool, witness or None).
+
+    At equal orders g H1 g^-1 = H2 exactly when g maps H1's generators into
+    H2, so the first such g is the witness.
+    """
+    if H1.order == H2.order:
+        g = next(conjugators(G, H1.generator_indices, H2.indices), None)
+        if g is not None:
             return True, G.elements[g]
     return False, None

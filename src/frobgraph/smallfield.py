@@ -46,7 +46,6 @@ class GF:
         if k == 1:
             self.add = lambda a, b: (a + b) % p
             self.mul = lambda a, b: (a * b) % p
-            self.neg = lambda a: (-a) % p
         else:
             poly = IRREDUCIBLE.get((p, k))
             if poly is None:
@@ -54,21 +53,9 @@ class GF:
             self._add_table, self._mul_table = _build_tables(p, k, poly)
             self.add = lambda a, b: self._add_table[a][b]
             self.mul = lambda a, b: self._mul_table[a][b]
-            self.neg = lambda a: self._neg_of(a)
         self.one = 1
         self.zero = 0
         self.primitive = self._find_primitive()
-
-    def _neg_of(self, a):
-        digits = []
-        p = self.p
-        for _ in range(self.k):
-            digits.append((-(a % p)) % p)
-            a //= p
-        out = 0
-        for d in reversed(digits):
-            out = out * p + d
-        return out
 
     def power(self, a, n):
         out = self.one

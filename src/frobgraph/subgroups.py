@@ -19,11 +19,11 @@ from .frobenius import Verdict, is_diameter_three, is_rich
 from .depth import minimal_depth
 from .group import (
     Subgroup,
-    centralizer_of_element,
     closure_indices,
     conjugacy_classes,
     conjugations,
-    is_perfect_subset,
+    conjugators,
+    derived_subset,
     is_solvable,
     normalizer,
     orbit,
@@ -45,54 +45,38 @@ class SubgroupClass:
         return self.rep.order
 
 
-@dataclass
-class SubgroupClassList:
-    group: object
-    classes: list
+def _subgroup_class(G, members, gen_indices=None):
+    """The class of the subgroup `members` and the list of its G-conjugates.
 
-    def __iter__(self):
-        return iter(self.classes)
-
-    def __len__(self):
-        return len(self.classes)
-
-    def of_order(self, k):
-        return [c for c in self.classes if c.order == k]
-
-
-def _orbit_of_subgroup(G, indices):
-    """All G-conjugates of an index set, as a list of frozensets."""
+    The representative is the least conjugate; it keeps gen_indices only
+    when it is `members` itself.
+    """
+    fz = frozenset(members)
     steps = [
         lambda s, c=c: frozenset(map(c, s))
         for c in conjugations(G, G.generator_indices)
     ]
-    return orbit(frozenset(indices), steps)
+    conjugates = orbit(fz, steps)
+    rep_set = min(conjugates, key=sorted)
+    if rep_set != fz:
+        gen_indices = None
+    return SubgroupClass(Subgroup(G, rep_set, gen_indices), len(conjugates)), conjugates
 
 
 class _Enumerator:
     def __init__(self, G):
         self.G = G
-        self.seen = {}
+        self.seen = set()
         self.classes = []
         self.work = []
 
     def register(self, members, gen_indices):
-        fz = frozenset(members)
-        if fz in self.seen:
-            return None
-        conjugates = _orbit_of_subgroup(self.G, fz)
-        rep_set = min(conjugates, key=lambda s: tuple(sorted(s)))
-        cls_id = len(self.classes)
-        for s in conjugates:
-            self.seen[s] = cls_id
-        if rep_set == fz and gen_indices is not None:
-            rep = Subgroup(self.G, rep_set, gen_indices)
-        else:
-            rep = Subgroup(self.G, rep_set)
-        record = SubgroupClass(rep=rep, length=len(conjugates))
+        if frozenset(members) in self.seen:
+            return
+        record, conjugates = _subgroup_class(self.G, members, gen_indices)
+        self.seen.update(conjugates)
         self.classes.append(record)
         self.work.append(record)
-        return record
 
     def run(self):
         G = self.G
@@ -105,7 +89,7 @@ class _Enumerator:
             if not rec.rep.is_whole():
                 self._extend(rec.rep)
         self.classes.sort(key=lambda c: (c.order, c.rep.sorted_indices()))
-        return SubgroupClassList(group=G, classes=self.classes)
+        return self.classes
 
     def _extend(self, H):
         """All prime-index cyclic extensions of H inside its normalizer."""
@@ -147,8 +131,8 @@ class _Enumerator:
         for i in range(1, len(cd)):
             x = cd.rep_indices[i]
             cyclic_x = closure_indices(G, (x,))
-            cent = centralizer_of_element(G, x)
-            cent_gens = _greedy_generators(G, frozenset(cent))
+            cent = frozenset(conjugators(G, (x,), (x,)))
+            cent_gens = _greedy_generators(G, cent)
             # one y per orbit of the centralizer of x acting by conjugation
             for points in orbit_partition(G.order, conjugations(G, cent_gens)):
                 y = points[0]
@@ -162,7 +146,7 @@ class _Enumerator:
                     continue
                 if frozenset(members) in self.seen:
                     continue
-                if is_perfect_subset(G, members, (x, y)):
+                if len(derived_subset(G, (x, y))) == n:
                     self.register(members, (x, y))
 
 
@@ -183,10 +167,9 @@ def prime_order_subgroup_classes(G):
         members = closure_indices(G, (x,))
         if members in seen:
             continue
-        conjugates = _orbit_of_subgroup(G, members)
+        record, conjugates = _subgroup_class(G, members)
         seen.update(conjugates)
-        rep_set = min(conjugates, key=lambda s: tuple(sorted(s)))
-        classes.append(SubgroupClass(rep=Subgroup(G, rep_set), length=len(conjugates)))
+        classes.append(record)
     classes.sort(key=lambda c: (c.order, c.rep.sorted_indices()))
     return classes
 
@@ -262,15 +245,20 @@ class ClassificationReport:
 
 
 def _contained_up_to_conjugacy(G, small, big):
-    """Whether some conjugate of `small` lies inside the set `big`."""
-    if small.order == 1:
-        return True
+    """Whether some conjugate of `small` lies inside `big`."""
     if big.order % small.order:
         return False
-    for g in range(G.order):
-        if all(G.conj(g, x) in big.indices for x in small.generator_indices):
-            return True
-    return False
+    return next(conjugators(G, small.generator_indices, big.indices), None) is not None
+
+
+def _maximal(G, subgroups):
+    """The subgroups no larger one of the list contains up to conjugacy."""
+    return [
+        h for h in subgroups
+        if not any(
+            _contained_up_to_conjugacy(G, h, k) for k in subgroups if k.order > h.order
+        )
+    ]
 
 
 def classify_subgroups(G):
@@ -289,15 +277,8 @@ def classify_subgroups(G):
             row.depth = minimal_depth(G, cls.rep).minimal_depth
         rows.append(row)
     rich_rows = [r for r in rows if r.is_rich and r.order > 1]
-    maximal = []
-    for r in rich_rows:
-        bigger = (
-            s for s in rich_rows if s is not r and s.order > r.order
-        )
-        if not any(
-            _contained_up_to_conjugacy(G, r.subgroup, s.subgroup) for s in bigger
-        ):
-            maximal.append(r)
+    maximal_reps = _maximal(G, [r.subgroup for r in rich_rows])
+    maximal = [r for r in rich_rows if r.subgroup in maximal_reps]
     return ClassificationReport(
         group=G,
         rows=rows,
@@ -311,15 +292,8 @@ def classify_subgroups(G):
 def maximal_subgroup_classes(G):
     """Classes whose representatives are maximal proper subgroups."""
     classes = [c for c in enumerate_subgroup_classes(G) if not c.rep.is_whole()]
-    out = []
-    for c in classes:
-        others = (
-            d for d in classes
-            if d is not c and c.order < d.order < G.order
-        )
-        if not any(_contained_up_to_conjugacy(G, c.rep, d.rep) for d in others):
-            out.append(c)
-    return out
+    maximal_reps = _maximal(G, [c.rep for c in classes])
+    return [c for c in classes if c.rep in maximal_reps]
 
 
 def is_minimal_rich_group(G):

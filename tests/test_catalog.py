@@ -147,6 +147,8 @@ def test_affine_criterion_examples():
         affine_diam3_criterion(4, 5)
     with pytest.raises(InvalidSpec):
         affine_diam3_criterion(3, 5)
+    with pytest.raises(DeskScaleExceeded, match="order cap"):
+        affine_diam3_criterion(101, 2)
 
 
 def test_affine_criterion_equals_odd_divisor_form():
@@ -157,6 +159,17 @@ def test_affine_criterion_equals_odd_divisor_form():
             m = (p * p - 1) // d
             alt = (p - 1) % m == 0 and m % 2 == 1
             assert affine_diam3_criterion(p, d) == alt, (p, d)
+
+
+def test_affine_criterion_huge_p_fails_without_hanging():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = "from frobgraph import affine_diam3_criterion; affine_diam3_criterion(10**18 + 3, 2)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1
+    assert "DeskScaleExceeded" in proc.stderr
 
 
 def test_index_two_subgroup_of_agl127_has_diameter_three_order3():

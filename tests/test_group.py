@@ -7,6 +7,7 @@ from frobgraph.group import (
     closure_indices,
     conjugacy_classes,
     conjugations,
+    conjugators,
     core,
     coset_action,
     derived_subgroup,
@@ -163,6 +164,57 @@ def test_normalizer_examples():
     A4 = group("A4")
     V4 = subgroup_of_order(A4, 4)
     assert normalizer(A4, V4).order == 12
+
+
+def _class_reps(name):
+    from frobgraph.subgroups import enumerate_subgroup_classes
+
+    G = group(name)
+    return G, [c.rep for c in enumerate_subgroup_classes(G)]
+
+
+def _conjugate_set(G, g, indices):
+    """g S g^-1 from Permutation products, not from the index arithmetic."""
+    p = G.elements[g]
+    pinv = p.inverse()
+    return frozenset(G.index[(p * G.elements[x] * pinv).images] for x in indices)
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "AGL1:9:4"])
+def test_conjugators_match_set_definitions(name):
+    G, reps = _class_reps(name)
+    for H in reps:
+        stabilizer = {g for g in range(G.order) if _conjugate_set(G, g, H.indices) == H.indices}
+        assert normalizer(G, H).indices == stabilizer
+    elems = G.elements
+    for x in range(G.order):
+        commuting = [g for g in range(G.order) if elems[g] * elems[x] == elems[x] * elems[g]]
+        assert list(conjugators(G, (x,), (x,))) == commuting
+
+
+def test_subgroups_conjugate_witnesses_on_s4_classes():
+    G, reps = _class_reps("S4")
+    for H1 in reps:
+        for H2 in reps:
+            if H1.order != H2.order:
+                continue
+            conjugates = {_conjugate_set(G, g, H2.indices) for g in range(G.order)}
+            for K in conjugates:
+                ok, w = subgroups_conjugate(G, H1, G.subgroup([G.elements[k] for k in K]))
+                if H1 is H2:
+                    assert ok and _conjugate_set(G, G.index[w.images], H1.indices) == K
+                else:
+                    assert (ok, w) == (False, None)
+
+
+@pytest.mark.parametrize("name", ["S4", "AGL1:9:4"])
+def test_as_group_elements_follow_sorted_indices(name):
+    G, reps = _class_reps(name)
+    for H in reps:
+        HG = H.as_group()
+        pos = H.sorted_indices()
+        assert HG.order == len(pos)
+        assert all(HG.elements[i] is G.elements[j] for i, j in enumerate(pos))
 
 
 def test_derived_subgroup():

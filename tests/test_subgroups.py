@@ -129,6 +129,8 @@ def test_classify_g351_one_rich_class_not_diam3():
 def test_maximal_subgroup_classes_a5():
     orders = sorted(c.order for c in maximal_subgroup_classes(group("A5")))
     assert orders == [6, 10, 12]
+    orders = sorted(c.order for c in maximal_subgroup_classes(group("S4")))
+    assert orders == [6, 8, 12]
 
 
 def test_minimality():
