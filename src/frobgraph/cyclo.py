@@ -21,14 +21,21 @@ from .errors import ConductorOverflow, NotCoprime, NotRational
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(e):
-    """Coefficients of Phi_e, ascending degree, monic."""
+    """Coefficients of Phi_e, ascending degree, monic.
+
+    With e = p m, p the largest prime factor of e: Phi_e(x) = Phi_m(x^p) when
+    p divides m, and Phi_m(x^p) / Phi_m(x) otherwise.
+    """
     if e == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (e - 1) + [1]
-    for d in range(1, e):
-        if e % d == 0:
-            poly = _polydiv_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    p = _prime_factors(e)[-1]
+    m = e // p
+    phi_m = cyclotomic_polynomial(m)
+    stretched = [0] * ((len(phi_m) - 1) * p + 1)
+    stretched[::p] = phi_m
+    if m % p == 0:
+        return tuple(stretched)
+    return tuple(_polydiv_exact(stretched, phi_m))
 
 
 def _polydiv_exact(num, den):

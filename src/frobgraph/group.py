@@ -10,9 +10,12 @@ because image tuples sort lexicographically.
 Index arithmetic has two paths, chosen once per group from its order.  Up to
 order _TABLE_MAX_ORDER (2048) a right-multiplication table of uint16 rows is
 built on first use, 2 n^2 bytes (8.4 MB at the cutoff), and products,
-inverses and conjugates are lookups; larger groups compose image tuples.
-Both paths return the same indices.  Nothing outside this module sees the
-table: callers use `mult`, `inverse`, `conj` and the step helpers
+inverses and conjugates are lookups.  Larger groups compose image tuples
+with `operator.itemgetter`, so the per-point work runs in C; their inverses
+are an array built on first use, as on the table path.  `conj_map` is one
+expression over a whole right-multiplication row on both paths.  Both paths
+return the same indices.  Nothing outside this module sees the table:
+callers use `mult`, `inverse`, `conj`, `conj_map` and the step helpers
 `right_multiplications` and `conjugations`.
 """
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from math import lcm
+from operator import attrgetter, itemgetter
 
 from .config import DEFAULT_DEGREE_CAP, DEFAULT_ORDER_CAP
 from .errors import DeskScaleExceeded, InternalInconsistency
@@ -40,12 +44,14 @@ class PermGroup:
     classes, character table, derived subgroup) on first use.
 
     Up to order 2048 the arithmetic reads a table of n uint16 rows (2 n^2
-    bytes) built on first use; larger groups compose image tuples.
+    bytes) built on first use.  Larger groups compose image tuples with
+    `itemgetter` and look the result up in `index`; their `inverse` reads an
+    array built on first use.  `conj_map` is shared by both paths.
     """
 
     def __init__(self, degree, generators, elements):
         self.degree = degree
-        self.elements = tuple(sorted(elements))
+        self.elements = tuple(sorted(elements, key=attrgetter("images")))
         self.order = len(self.elements)
         self.index = {p.images: i for i, p in enumerate(self.elements)}
         if not self.elements or not self.elements[0].is_identity():
@@ -56,6 +62,7 @@ class PermGroup:
         self.generators = gens if gens else (Permutation.identity(degree),)
         self.generator_indices = tuple(self.index[g.images] for g in self.generators)
         self._rows = None
+        self._images = None
         self._inverses = None
         self._conj_maps = {}
         self._orders = None
@@ -65,16 +72,16 @@ class PermGroup:
         self._solvable = None
         self._subgroup_classes = None
         if self.order > _TABLE_MAX_ORDER:
-            self.mult = self._compose
-            self.inverse = self._compose_inverse
-            self.conj = self._compose_conj
+            imgs = self._images = [p.images for p in self.elements]
+            index = self.index
+            self.mult = lambda a, b: index[itemgetter(*imgs[b])(imgs[a])]
 
     # ------------------------------------------------------------------
     # index arithmetic
     #
-    # mult, inverse and conj below run at most once per group: the table
-    # they build binds instance attributes of the same names, which shadow
-    # them.  Above the cutoff __init__ binds the _compose* methods instead.
+    # mult, inverse and conj below run at most once per group: _table binds
+    # instance attributes of the same names, which shadow them.  Above the
+    # cutoff __init__ binds mult, and _table binds inverse and conj.
 
     def mult(self, a, b):
         """Index of elements[a] * elements[b] (b acts first)."""
@@ -91,51 +98,50 @@ class PermGroup:
         return self.conj(g, x)
 
     def _table(self):
-        """Rows with rows[b][x] == mult(x, b), built on the first call; None
-        above the cutoff."""
-        if self._rows is None and self.order <= _TABLE_MAX_ORDER:
-            rows = self._rows = _right_multiplication_rows(self)
-            inv = self._inverses = array("H", [r.index(0) for r in rows])
-            self.mult = lambda a, b: rows[b][a]
+        """Rows with rows[b][x] == mult(x, b), or None above the cutoff.
+
+        The first call builds the table and the inverses (only the inverses
+        above the cutoff) and binds the arithmetic that reads them.
+        """
+        if self._inverses is None:
+            if self.order <= _TABLE_MAX_ORDER:
+                rows = self._rows = _right_multiplication_rows(self)
+                inv = array("H", [r.index(0) for r in rows])
+                self.mult = lambda a, b: rows[b][a]
+                self.conj = lambda g, x: rows[inv[g]][rows[x][g]]
+            else:
+                imgs = self._images
+                index = self.index
+                points = range(self.degree)
+                inv = array(
+                    "H",
+                    [index[tuple(sorted(points, key=im.__getitem__))] for im in imgs],
+                )
+                # g x g^-1: compose x into g, then g^-1 into that
+                self.conj = lambda g, x: index[
+                    itemgetter(*imgs[inv[g]])(itemgetter(*imgs[x])(imgs[g]))
+                ]
+            self._inverses = inv
             self.inverse = inv.__getitem__
-            self.conj = lambda g, x: rows[inv[g]][rows[x][g]]
         return self._rows
 
-    def _compose(self, a, b):
-        ia = self.elements[a].images
-        ib = self.elements[b].images
-        return self.index[tuple(ia[x] for x in ib)]
-
-    def _compose_inverse(self, a):
-        if self._inverses is None:
-            inv = [0] * self.order
-            for i, p in enumerate(self.elements):
-                inv[i] = self.index[p.inverse().images]
-            self._inverses = inv
-        return self._inverses[a]
-
-    def _compose_conj(self, g, x):
-        return self.mult(self.mult(g, x), self.inverse(g))
+    def _row(self, b):
+        """Sequence x -> mult(x, b) over all x: a table row, or above the
+        cutoff one array built with a single itemgetter."""
+        imgs = self._images
+        if imgs is None:
+            return self._table()[b]
+        right = itemgetter(*imgs[b])
+        return array("H", map(self.index.__getitem__, map(right, imgs)))
 
     def conj_map(self, g):
         """Map x -> g x g^-1 as a sequence indexed by x; cached for generators."""
         cm = self._conj_maps.get(g)
         if cm is None:
-            rows = self._table()
-            ginv = self.inverse(g)
-            if rows is not None:
-                # x -> x^-1 g^-1 -> g x -> g x g^-1
-                right = rows[ginv].__getitem__
-                inv = self._inverses
-                cm = array("H", map(right, map(inv.__getitem__, map(right, inv))))
-            else:
-                gi = self.elements[g].images
-                gv = self.elements[ginv].images
-                idx = self.index
-                cm = [
-                    idx[tuple(gi[x.images[gv[t]]] for t in range(self.degree))]
-                    for x in self.elements
-                ]
+            right = self._row(self.inverse(g)).__getitem__
+            inv = self._inverses
+            # x -> x^-1 g^-1 -> g x -> g x g^-1
+            cm = array("H", map(right, map(inv.__getitem__, map(right, inv))))
             if g in self.generator_indices:
                 self._conj_maps[g] = cm
         return cm
@@ -223,12 +229,20 @@ def closure_indices(G, gen_indices):
 
 
 def right_multiplications(G, gen_indices):
-    """Steps x -> x * g; their orbit from 0 is the subgroup generated."""
-    rows = G._table()
-    if rows is not None:
+    """Steps x -> x * g; their orbit from 0 is the subgroup generated.
+
+    Above the cutoff each step holds one itemgetter and composes per point
+    visited, so a small closure in a large group does not pay for whole rows.
+    """
+    imgs = G._images
+    if imgs is None:
+        rows = G._table()
         return [rows[g].__getitem__ for g in gen_indices]
-    mult = G.mult
-    return [lambda x, g=g: mult(x, g) for g in gen_indices]
+    index = G.index
+    return [
+        lambda x, right=itemgetter(*imgs[g]): index[right(imgs[x])]
+        for g in gen_indices
+    ]
 
 
 def conjugations(G, gen_indices):

@@ -107,7 +107,7 @@ class Permutation:
         return tuple(sorted(lengths))
 
     def order(self):
-        return lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return lcm(*(len(c) for c in self.cycles()))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images

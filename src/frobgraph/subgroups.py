@@ -96,8 +96,11 @@ class _Enumerator:
         G = self.G
         N = normalizer(G, H)
         hset = H.indices
+        # H is normal in N, so a z inside an extension H<z0> of prime index
+        # generates that same extension: skip it.
+        covered = set(hset)
         for z in sorted(N.indices):
-            if z in hset:
+            if z in covered:
                 continue
             # least m with z^m in H; extension is useful only for prime m
             m = 1
@@ -110,8 +113,10 @@ class _Enumerator:
             members = set(hset)
             zt = z
             for _ in range(m - 1):
-                members.update(G.mult(h, zt) for h in hset)
+                (step,) = right_multiplications(G, (zt,))
+                members.update(map(step, hset))
                 zt = G.mult(zt, z)
+            covered.update(members)
             self.register(members, tuple(H.generator_indices) + (z,))
 
     def _seed_perfect(self):

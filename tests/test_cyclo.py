@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -66,6 +67,29 @@ def test_canonical_form_idempotent():
         twice = Cyclotomic(e, once.coeffs)
         assert once.coeffs == twice.coeffs
         assert not any(once.coeffs[len(cyclotomic_polynomial(e)) - 1 :])
+
+
+def _polymul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+@pytest.mark.parametrize("ns", [range(1, 301), (546, 780, 1710, 3036)], ids=["upto300", "large"])
+def test_cyclotomic_polynomials_factor_x_to_the_n_minus_one(ns):
+    # oracle: x^n - 1 is the product of Phi_d over d | n, and deg Phi_n = phi(n)
+    for n in ns:
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = _polymul(product, cyclotomic_polynomial(d))
+        assert product == [-1] + [0] * (n - 1) + [1], n
+        totient = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+        assert len(cyclotomic_polynomial(n)) - 1 == totient, n
 
 
 def test_cross_conductor_equality_and_hash():

@@ -283,18 +283,21 @@ def _check_arithmetic(G, pairs):
 def test_table_agrees_with_permutation_products(name):
     G = group(name)
     n = G.order
+    assert G.elements == tuple(sorted(G.elements))
     _check_arithmetic(G, [(a, b) for a in range(n) for b in range(n)])
     rows = G._rows
     assert len(rows) == n
     assert all(row.typecode == "H" and len(row) == n for row in rows)
 
 
-def test_no_table_above_the_cutoff():
-    G = group("S7")
+@pytest.mark.parametrize("name, classes", [("S7", 15), ("PSL2:19", 12)], ids=["S7", "PSL2:19"])
+def test_no_table_above_the_cutoff(name, classes):
+    G = group(name)
     n = G.order
     assert n > 2048
-    step = 997  # coprime to 5040, so the pairs spread over the group
+    assert G.elements == tuple(sorted(G.elements))
+    step = 997  # coprime to 5040 and 3420, so the pairs spread over the group
     _check_arithmetic(G, [(a * step % n, (a * a + 1) * step % n) for a in range(60)])
     assert len(closure_indices(G, (1, n - 1))) > 1
-    assert len(conjugacy_classes(G)) == 15
+    assert len(conjugacy_classes(G)) == classes
     assert G._rows is None

@@ -52,9 +52,10 @@ def test_total_subgroup_counts():
         brute.add(frozenset((0,)))
         total = sum(c.length for c in enumerate_subgroup_classes(G))
         assert total == len(brute), name
-    assert sum(c.length for c in enumerate_subgroup_classes(group("S4"))) == 30
-    assert sum(c.length for c in enumerate_subgroup_classes(group("A4"))) == 10
-    assert sum(c.length for c in enumerate_subgroup_classes(group("A5"))) == 59
+    # EA:p:k totals are sums of Gaussian binomials over the subspace dimensions
+    totals = {"S4": 30, "A4": 10, "A5": 59, "EA:2:4": 67, "EA:3:2": 6, "EA:3:3": 28}
+    for name, total in totals.items():
+        assert sum(c.length for c in enumerate_subgroup_classes(group(name))) == total, name
 
 
 def test_class_lengths_match_normalizers():
