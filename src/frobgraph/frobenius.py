@@ -278,12 +278,7 @@ def bii_shortcuts(G, H):
     some conjugate of H meets H trivially, or H is core-free with all its
     nontrivial elements conjugate under the normalizer.
     """
-    trivial_int = False
-    for g in double_coset_reps(G, H):
-        size = sum(1 for x in H.indices if G.conj(g, x) in H.indices)
-        if size == 1:
-            trivial_int = True
-            break
+    trivial_int = any(len(m) == 1 for m in _mackey_intersections(G, H))
     transitive = False
     if not H.is_trivial() and core(G, H).order == 1:
         N = normalizer(G, H)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 from .chartab import character_table
 from .errors import InternalInconsistency
+from .frobenius import _hclass_of
 from .group import orbit_partition
 
 INFINITE = math.inf
@@ -118,7 +119,7 @@ def irr_action_orbits(G, K):
     e = tK.exponent
     row_key = {tuple(v.key_at(e) for v in tK.values[i]): i for i in range(kk)}
     pos = K.sorted_indices()
-    class_of = dict(zip(pos, cd.class_of_index))
+    class_of = _hclass_of(K)
     row_perms = []
     for g in G.generator_indices:
         class_perm = [class_of[G.conj(g, pos[r])] for r in cd.rep_indices]

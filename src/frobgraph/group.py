@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import combinations
 from math import lcm
 from operator import attrgetter, itemgetter
 
@@ -191,7 +192,7 @@ def group_from_generators(degree, generators, order_cap=None, degree_cap=None):
     images = orbit(tuple(range(degree)), steps, order_cap)
     if images is None:
         raise DeskScaleExceeded(f"group closure exceeded order cap {order_cap}")
-    return PermGroup(degree, gens, map(Permutation, images))
+    return PermGroup(degree, gens, map(Permutation.trusted, images))
 
 
 def _right_multiplication_rows(G):
@@ -478,34 +479,43 @@ class CosetAction:
     def image_of(self, g):
         """Permutation of coset indices induced by element index g."""
         G = self.group
-        return Permutation(
+        return Permutation.trusted(
             tuple(self.coset_of[G.mult(g, r)] for r in self.coset_reps)
         )
 
     def image_subgroup(self, indices):
         """Image in the quotient of the subgroup generated by given indices."""
-        perms = {self.image_of(i).images for i in indices}
-        return self.image.subgroup([Permutation(p) for p in perms])
+        return self.image.subgroup({self.image_of(i) for i in indices})
 
 
 def coset_action(G, H):
-    """G acting on the cosets of H; kernel equals the core of H."""
+    """G acting on the left cosets of H; the kernel is core(G, H).
+
+    The image is counted over every element of G, not closed from
+    generators, so its order times the order of the core (an intersection
+    of conjugates) must be |G|: two independent computations.
+    """
     reps, coset_of = _left_cosets(G, H)
-    gen_perms = []
-    for g in G.generator_indices:
-        gen_perms.append(Permutation(tuple(coset_of[G.mult(g, r)] for r in reps)))
-    # coset images may exceed the input degree cap (regular representation)
-    image = group_from_generators(
-        len(reps), gen_perms, order_cap=G.order, degree_cap=len(reps)
+    gens = G.generator_indices
+    rows = [tuple(G._row(g)) for g in gens]
+    # columns[j][x] is the coset of x t for any t in coset j, so x's image is
+    # (columns[j][x] for each j).  The column of coset g t is columns[j] read
+    # at x g: one gather per coset, not one product per element and coset.
+    # Tuples, not arrays, so every column shares coset_of's int objects.
+    columns = [coset_of] + [None] * (len(reps) - 1)
+    found = [0]
+    for j in found:
+        for g, row in zip(gens, rows):
+            k = columns[j][g]
+            if columns[k] is None:
+                columns[k] = tuple(map(columns[j].__getitem__, row))
+                found.append(k)
+    image = PermGroup(
+        len(reps),
+        [Permutation.trusted(tuple(col[g] for col in columns)) for g in gens],
+        map(Permutation.trusted, set(zip(*columns))),
     )
-    act = CosetAction(
-        group=G,
-        subgroup=H,
-        coset_reps=reps,
-        coset_of=coset_of,
-        image=image,
-        kernel=core(G, H),
-    )
+    act = CosetAction(G, H, reps, coset_of, image, core(G, H))
     if image.order * act.kernel.order != G.order:
         raise InternalInconsistency("coset action image/kernel orders inconsistent")
     return act
@@ -545,29 +555,15 @@ def _commutator(G, a, b):
 def derived_subset(G, gen_indices):
     """Derived subgroup of the subgroup <gen_indices>, as indices.
 
-    Normal closure (inside the subgroup) of the commutators of its generators.
+    It is the normal closure, inside the subgroup, of the commutators of its
+    generators ([b, a] is the inverse of [a, b]): the orbit of the identity
+    under right multiplication by those commutators and conjugation by the
+    generators.
     """
-    dgens = []
-    seen_gens = set()
-    for a in gen_indices:
-        for b in gen_indices:
-            c = _commutator(G, a, b)
-            if c != 0 and c not in seen_gens:
-                seen_gens.add(c)
-                dgens.append(c)
-    D = closure_indices(G, dgens)
-    while True:
-        new = []
-        for g in gen_indices:
-            for d in dgens:
-                c = G.conj(g, d)
-                if c not in D and c not in seen_gens:
-                    seen_gens.add(c)
-                    new.append(c)
-        if not new:
-            return D
-        dgens.extend(new)
-        D = closure_indices(G, dgens)
+    comms = {_commutator(G, a, b) for a, b in combinations(gen_indices, 2)} - {0}
+    steps = right_multiplications(G, sorted(comms))
+    steps += [G.conj_map(g).__getitem__ for g in gen_indices]
+    return frozenset(orbit(0, steps))
 
 
 def derived_subgroup(G):

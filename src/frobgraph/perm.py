@@ -27,6 +27,14 @@ class Permutation:
         self.images = images
 
     @classmethod
+    def trusted(cls, images):
+        """Wrap an image tuple without the bijection check; only for tuples
+        composed from permutations that were already checked."""
+        p = object.__new__(cls)
+        p.images = images
+        return p
+
+    @classmethod
     def identity(cls, degree):
         return cls(range(degree))
 

@@ -124,6 +124,15 @@ def test_seed_file(tmp_path, capsys):
     assert "order 6" in out
 
 
+def test_seed_file_over_the_degree_cap_fails(tmp_path, capsys):
+    f = tmp_path / "grp.txt"
+    f.write_text("degree 129\n(1,2)\n")
+    code, out, err = run_cli(capsys, "analyze", "--seed-file", str(f), "--prime-order")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "degree 129" in err
+
+
 def test_prime_order_selector(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "--group", "A4", "--prime-order"

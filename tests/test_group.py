@@ -2,7 +2,8 @@ import pytest
 
 from helpers import brute_conjugacy_partition, brute_core, group, subgroup_of_order
 
-from frobgraph.errors import DeskScaleExceeded
+from frobgraph.catalog import construct, parse_group_spec
+from frobgraph.errors import DeskScaleExceeded, InternalInconsistency
 from frobgraph.group import (
     closure_indices,
     conjugacy_classes,
@@ -49,6 +50,14 @@ def test_order_cap_enforced():
     ]
     with pytest.raises(DeskScaleExceeded):
         group_from_generators(6, gens, order_cap=100)
+
+
+def test_degree_cap_binds_raw_input_only():
+    with pytest.raises(DeskScaleExceeded, match="degree 129"):
+        group_from_generators(129, [Permutation.from_cycles(129, [(0, 1)])])
+    # catalog constructions carry their own degree past the cap
+    C129 = construct(parse_group_spec("C129"))
+    assert (C129.order, C129.degree) == (129, 129)
 
 
 def test_orbit_cap_start_and_order():
@@ -152,6 +161,38 @@ def test_coset_action_kernel_equals_core():
             }
             assert core(G, cls.rep).indices == acts_trivially
             assert act.image.order * act.kernel.order == G.order
+
+
+def _assert_image_is_closure(G, H):
+    """The counted image equals the closure of the generator images."""
+    act = coset_action(G, H)
+    degree = len(act.coset_reps)
+    gens = [act.image_of(g) for g in G.generator_indices]
+    closed = group_from_generators(degree, gens, order_cap=G.order, degree_cap=degree)
+    assert act.image.elements == closed.elements
+    assert act.image.generators == closed.generators
+    assert act.image.generator_indices == closed.generator_indices
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "Named:D12", "AGL1:9:4"])
+def test_coset_action_image_equals_generator_closure(name):
+    G, reps = _class_reps(name)
+    for H in reps:
+        _assert_image_is_closure(G, H)
+
+
+def test_coset_action_image_equals_generator_closure_above_the_cutoff():
+    G = group("PSL2:19")
+    assert G.order > 2048
+    _assert_image_is_closure(G, G.subgroup([G.generators[0]]))
+
+
+def test_coset_action_order_check_reads_core(monkeypatch):
+    A4 = group("A4")
+    V4 = subgroup_of_order(A4, 4)
+    monkeypatch.setattr("frobgraph.group.core", lambda G, H: G.trivial_subgroup())
+    with pytest.raises(InternalInconsistency, match="image/kernel"):
+        coset_action(A4, V4)
 
 
 def test_normalizer_examples():
