@@ -70,6 +70,9 @@ def parse_group_spec(text):
     """Parse CLI spec strings like S5, A6, C12, D12, EA:3:2, AGL1:9:4,
     SL2:7, PSL2:8, PSL3:2, Named:G80, and x-products such as S3xC4."""
     text = text.strip()
+    # a path may contain 'x', so files are recognised before products
+    if text.startswith("file:"):
+        return GroupSpec("FromGenerators", (text[5:],))
     if text.startswith("Named:") and text[6:] in _ALL_NAMED:
         return GroupSpec("Named", (text[6:],))
     if "x" in text:
@@ -94,8 +97,6 @@ def parse_group_spec(text):
             )
     if text.startswith("Named:"):
         raise InvalidSpec(f"unknown named group {text[6:]!r}")
-    if text.startswith("file:"):
-        return GroupSpec("FromGenerators", (text[5:],))
     for prefix, kind in (("EA", "ElementaryAbelian"), ("AGL1", "AGL1"),
                          ("SL2", "SL2"), ("PSL2", "PSL2"), ("PSL3", "PSL3")):
         if text == prefix or text.startswith(prefix + ":"):
@@ -186,8 +187,7 @@ def _build(spec, order_cap):
             return _close(13, gens, order_cap)
         return _build(NAMED_SPECS[p[0]], order_cap)
     if kind == "FromGenerators":
-        with open(p[0], encoding="utf-8") as fh:
-            degree, gens = parse_permutation_spec(fh.read())
+        degree, gens = read_permutation_spec(p[0])
         return group_from_generators(degree, gens, order_cap=order_cap)
     if kind == "Symmetric":
         n = _need(p, 1, kind)[0]
@@ -403,6 +403,19 @@ def parse_permutation_spec(text):
     if degree is None:
         raise ParseError("missing degree header", line=1, column=1)
     return degree, gens
+
+
+def read_permutation_spec(path):
+    """parse_permutation_spec on the contents of a file; a file that cannot
+    be read is an InvalidSpec."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InvalidSpec(f"cannot read generator file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise InvalidSpec(f"generator file {path!r} is not UTF-8 text") from None
+    return parse_permutation_spec(text)
 
 
 # ----------------------------------------------------------------------

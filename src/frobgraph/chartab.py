@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt, lcm
 
-from .cyclo import Cyclotomic, _prime_factors, cyc_sum, is_prime
+from .cyclo import Cyclotomic, _prime_factors, cyc_dot, is_prime
 from .errors import InternalInconsistency
 from .group import conjugacy_classes, derived_subgroup
 
@@ -404,15 +404,13 @@ def _verify_table(table):
     conj = table.conj_values()
     for r in range(k):
         for s in range(r, k):
-            total = cyc_sum(
-                vals[r][i] * conj[s][i] * cd.sizes[i] for i in range(k)
-            )
+            total = cyc_dot(zip(vals[r], conj[s], cd.sizes))
             want = n if r == s else 0
             if total != want:
                 raise InternalInconsistency(f"row orthogonality failed at ({r},{s})")
     for j in range(k):
         for m in range(j, k):
-            total = cyc_sum(vals[r][j] * conj[r][m] for r in range(k))
+            total = cyc_dot((vals[r][j], conj[r][m], 1) for r in range(k))
             want = cd.centralizer_orders[j] if j == m else 0
             if total != want:
                 raise InternalInconsistency(f"column orthogonality failed at ({j},{m})")

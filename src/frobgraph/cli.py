@@ -11,7 +11,7 @@ from .catalog import (
     construct,
     expected_order,
     parse_group_spec,
-    parse_permutation_spec,
+    read_permutation_spec,
 )
 from .chartab import character_table, table_stats
 from .cyclo import _prime_factors
@@ -45,8 +45,7 @@ def render_json(payload):
 
 def _load_group(args):
     if getattr(args, "seed_file", None):
-        with open(args.seed_file, encoding="utf-8") as fh:
-            degree, gens = parse_permutation_spec(fh.read())
+        degree, gens = read_permutation_spec(args.seed_file)
         return group_from_generators(degree, gens, order_cap=args.cap), args.seed_file
     if not args.group:
         raise FrobgraphError("no group given; use --group or --seed-file")

@@ -4,9 +4,10 @@ A value is a conductor e together with an integer coefficient vector of
 length e giving the coefficients of zeta_e^k.  Vectors are kept reduced
 modulo the e-th cyclotomic polynomial, so only the first phi(e) entries can
 be nonzero and two values with the same conductor are equal iff their
-vectors are equal.  Mixed-conductor arithmetic lifts both operands to the
-lcm conductor first.  Python integers are unbounded, so coefficient overflow
-cannot occur.
+vectors are equal.  Every sum and product (`cyc_dot`) is accumulated
+unreduced at L, the lcm of the conductors involved, and reduced mod Phi_L
+once; an L above the conductor cap raises ConductorOverflow.  Python
+integers are unbounded, so coefficient overflow cannot occur.
 """
 
 from __future__ import annotations
@@ -135,27 +136,12 @@ class Cyclotomic:
         """Coefficient tuple at conductor e2; a total ordering key."""
         return self.lift(e2).coeffs
 
-    def _common(self, other):
-        e = lcm(self.conductor, other.conductor)
-        if e > DEFAULT_CONDUCTOR_CAP:
-            raise ConductorOverflow(f"conductor {e} exceeds cap {DEFAULT_CONDUCTOR_CAP}")
-        return self.lift(e), other.lift(e)
-
     # -- ring operations --------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Cyclotomic.from_int(other)
-        if not isinstance(other, Cyclotomic):
+        if not isinstance(other, (int, Cyclotomic)):
             return NotImplemented
-        if self.conductor == other.conductor:
-            return Cyclotomic(
-                self.conductor,
-                tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                _reduced=True,
-            )
-        a, b = self._common(other)
-        return a + b
+        return cyc_sum((self, other))
 
     __radd__ = __add__
 
@@ -163,11 +149,9 @@ class Cyclotomic:
         return Cyclotomic(self.conductor, tuple(-c for c in self.coeffs), _reduced=True)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = Cyclotomic.from_int(other)
-        if not isinstance(other, Cyclotomic):
+        if not isinstance(other, (int, Cyclotomic)):
             return NotImplemented
-        return self + (-other)
+        return cyc_sum((self, -other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -180,20 +164,7 @@ class Cyclotomic:
             return self.scale(other)
         if not isinstance(other, Cyclotomic):
             return NotImplemented
-        if self.is_rational:
-            return other.scale(self.coeffs[0])
-        if other.is_rational:
-            return self.scale(other.coeffs[0])
-        a, b = self._common(other)
-        e = a.conductor
-        raw = [0] * (2 * e)
-        bc = b.coeffs
-        nz = [(j, c) for j, c in enumerate(bc) if c]
-        for i, ca in enumerate(a.coeffs):
-            if ca:
-                for j, cb in nz:
-                    raw[i + j] += ca * cb
-        return Cyclotomic(e, raw)
+        return cyc_dot(((self, other, 1),))
 
     __rmul__ = __mul__
 
@@ -282,9 +253,6 @@ class Cyclotomic:
         return " ".join(parts)
 
 
-ZERO = Cyclotomic.from_int(0)
-
-
 @lru_cache(maxsize=None)
 def _prime_factors(n):
     out = []
@@ -364,7 +332,28 @@ def _rewrite_on_subfield(v, f):
 
 def cyc_sum(values):
     """Exact sum of an iterable of Cyclotomic/int values."""
-    total = ZERO
-    for v in values:
-        total = total + v
-    return total
+    one = Cyclotomic.from_int(1)
+    return cyc_dot((v, one, 1) if isinstance(v, Cyclotomic) else (one, one, v) for v in values)
+
+
+def cyc_dot(terms):
+    """Exact sum of w * a * b over (a, b, w): Cyclotomic factors, int weights.
+
+    Exponent j at conductor n lands at j * L / n in one unreduced list, L the
+    lcm of every conductor; `_reduce` folds it mod L and Phi_L once.
+    """
+    terms = list(terms)
+    L = lcm(*{a.conductor for a, _, _ in terms}, *{b.conductor for _, b, _ in terms})
+    if L > DEFAULT_CONDUCTOR_CAP:
+        raise ConductorOverflow(f"conductor {L} exceeds cap {DEFAULT_CONDUCTOR_CAP}")
+    raw = [0] * (2 * L)
+    for a, b, w in terms:
+        sb = L // b.conductor
+        nzb = [(j * sb, w * c) for j, c in enumerate(b.coeffs) if c]
+        sa = L // a.conductor
+        for i, ca in enumerate(a.coeffs):
+            if ca:
+                i *= sa
+                for j, cb in nzb:
+                    raw[i + j] += ca * cb
+    return Cyclotomic(L, raw)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .chartab import character_table
-from .cyclo import cyc_sum
+from .cyclo import cyc_dot
 from .errors import InternalInconsistency, NotProper
 from .group import (
     conjugacy_classes,
@@ -110,9 +110,7 @@ def frobenius_matrix(G, H):
         phi_conj = conj_h[r]
         for c in range(kG):
             chi = tG.values[c]
-            total = cyc_sum(
-                chi[fuse[hc]] * phi_conj[hc] * sizes[hc] for hc in range(kH)
-            )
+            total = cyc_dot((chi[fuse[hc]], phi_conj[hc], sizes[hc]) for hc in range(kH))
             num = total.to_rational_integer()
             val, rem = divmod(num, H.order)
             if rem or val < 0:
@@ -204,7 +202,7 @@ def mackey_inner_product(G, H, phi_idx, psi_idx):
     psi_conj = tH.conj_values()[psi_idx]
     total = 0
     for members in _mackey_intersections(G, H):
-        s = cyc_sum(phi[cx] * psi_conj[cy] for cx, cy in members)
+        s = cyc_dot((phi[cx], psi_conj[cy], 1) for cx, cy in members)
         num = s.to_rational_integer()
         val, rem = divmod(num, len(members))
         if rem:

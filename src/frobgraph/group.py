@@ -24,12 +24,11 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
 from operator import attrgetter, itemgetter
 
 from .config import DEFAULT_DEGREE_CAP, DEFAULT_ORDER_CAP
-from .errors import DeskScaleExceeded, InternalInconsistency
-from .perm import Permutation
+from .errors import DeskScaleExceeded, InternalInconsistency, InvalidSpec
+from .perm import Permutation, format_cycles
 
 
 # Largest order that gets a multiplication table (n rows of n uint16).
@@ -66,7 +65,6 @@ class PermGroup:
         self._images = None
         self._inverses = None
         self._conj_maps = {}
-        self._orders = None
         self._classdata = None
         self._chartable = None
         self._derived = None
@@ -151,12 +149,7 @@ class PermGroup:
         return self.index[(self.elements[a] ** k).images]
 
     def element_order(self, a):
-        if self._orders is None:
-            self._orders = [p.order() for p in self.elements]
-        return self._orders[a]
-
-    def exponent(self):
-        return lcm(*(self.element_order(i) for i in range(self.order)))
+        return self.elements[a].order()
 
     def is_abelian(self):
         gi = self.generator_indices
@@ -169,7 +162,10 @@ class PermGroup:
         return Subgroup(self, frozenset((0,)), ())
 
     def subgroup(self, perms):
-        """Subgroup generated by the given permutations."""
+        """Subgroup generated by the given permutations, which must lie in G."""
+        for p in perms:
+            if p.images not in self.index:
+                raise InvalidSpec(f"generator {format_cycles(p)} is not in the group")
         gen_idx = tuple(self.index[p.images] for p in perms)
         members = closure_indices(self, gen_idx)
         return Subgroup(self, members, gen_idx)
@@ -413,15 +409,16 @@ def conjugacy_classes(G):
     if sum(sizes) != n:
         raise InternalInconsistency("class sizes do not sum to the group order")
     cents = tuple(n // s for s in sizes)
-    orders = tuple(G.element_order(r) for r in reps)
+    # walk r^t until it returns to the identity: the row length is the order
     pmap = []
-    for r, o in zip(reps, orders):
-        row = []
-        x = 0
-        for _ in range(o):
+    for r in reps:
+        row = [class_of[0]]
+        x = r
+        while x:
             row.append(class_of[x])
             x = G.mult(x, r)
         pmap.append(tuple(row))
+    orders = tuple(map(len, pmap))
     cd = ClassData(
         group=G,
         rep_indices=tuple(reps),

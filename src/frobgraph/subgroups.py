@@ -164,10 +164,12 @@ def enumerate_subgroup_classes(G):
 
 def prime_order_subgroup_classes(G):
     """Classes of prime-order subgroups, without the full enumeration."""
+    # every prime-order subgroup class contains <rep> for a class rep
+    cd = conjugacy_classes(G)
     seen = set()
     classes = []
-    for x in range(1, G.order):
-        if not is_prime(G.element_order(x)):
+    for x, o in zip(cd.rep_indices, cd.element_orders):
+        if not is_prime(o):
             continue
         members = closure_indices(G, (x,))
         if members in seen:

@@ -263,6 +263,11 @@ def test_from_generators_spec(tmp_path):
     assert sum(1 for i in range(8) if G.element_order(i) == 2) == 1  # Q8
 
 
+def test_file_spec_is_recognised_before_products():
+    # the path contains the product separator 'x'
+    assert parse_group_spec("file:/tmp/box.txt") == GroupSpec("FromGenerators", ("/tmp/box.txt",))
+
+
 def test_spec_validation_errors():
     with pytest.raises(InvalidSpec):
         construct(GroupSpec("AGL1Subgroup", (9, 5)))  # 5 does not divide 8

@@ -133,6 +133,27 @@ def test_seed_file_over_the_degree_cap_fails(tmp_path, capsys):
     assert err.startswith("error:") and "degree 129" in err
 
 
+def test_subgroup_generator_outside_the_group_fails(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--group", "A4", "--subgroup", "(1,2)")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: generator (1,2) is not in the group"]
+
+
+@pytest.mark.parametrize("source", ["--seed-file", "--group"])
+@pytest.mark.parametrize("content", [None, b"\xd0\xff"], ids=["missing", "binary"])
+def test_unreadable_generator_file_fails(tmp_path, capsys, source, content):
+    f = tmp_path / "boxed.txt"
+    if content is not None:
+        f.write_bytes(content)
+    arg = str(f) if source == "--seed-file" else f"file:{f}"
+    code, out, err = run_cli(capsys, "table", source, arg)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and str(f) in err
+
+
 def test_prime_order_selector(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "--group", "A4", "--prime-order"

@@ -1,10 +1,18 @@
+import cmath
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
-from frobgraph.cyclo import Cyclotomic, cyc_sum, cyclotomic_polynomial
+from helpers import group
+
+from frobgraph import cyclo
+from frobgraph.chartab import character_table
+from frobgraph.config import DEFAULT_CONDUCTOR_CAP
+from frobgraph.cyclo import Cyclotomic, cyc_dot, cyc_sum, cyclotomic_polynomial
 from frobgraph.errors import ConductorOverflow, NotCoprime, NotRational
+from frobgraph.frobenius import frobenius_matrix
+from frobgraph.perm import parse_cycles
 
 Z = Cyclotomic.zeta
 
@@ -120,6 +128,12 @@ def test_minimal_conductor_of_lifted_values():
 def test_conductor_overflow():
     with pytest.raises(ConductorOverflow):
         Z(101) * Z(103)
+    with pytest.raises(ConductorOverflow):
+        Z(101) + Z(103)
+    with pytest.raises(ConductorOverflow):
+        cyc_sum([Z(101), Z(103)])
+    with pytest.raises(ConductorOverflow):
+        cyc_dot([(Z(101), Z(103), 1)])
 
 
 def test_rendering():
@@ -147,3 +161,53 @@ def test_tiny_conductors():
     assert Cyclotomic.from_int(4).galois_conjugate(1) == 4
     v = Z(2) * Z(3)  # -zeta_3: a primitive 6th root, but it lives in Q(zeta_3)
     assert v == -Z(3) and v.minimal().conductor == 3
+
+
+def _complex(v):
+    """Value at zeta_e = exp(2 pi i / e), e the conductor; ints are conductor 1."""
+    if isinstance(v, int):
+        return v
+    return sum(c * cmath.exp(2j * cmath.pi * k / v.conductor) for k, c in enumerate(v.coeffs))
+
+
+def test_sums_and_dot_products_match_complex_evaluation():
+    # oracle: complex arithmetic, and the pairwise + and * results
+    conductors = list(range(1, 16)) + [20, 24, 60]
+    rng = random.Random(7)
+    for _ in range(60):
+        ns = rng.sample(conductors, 3)
+        if lcm(*ns) > DEFAULT_CONDUCTOR_CAP:
+            continue
+        vals = [Cyclotomic(n, [rng.randint(-3, 3) for _ in range(n)]) for n in ns]
+        terms = [(rng.choice(vals), rng.choice(vals), rng.randint(-5, 5)) for _ in range(7)]
+        vals.append(rng.randint(-4, 4))
+        dot = cyc_dot(terms)
+        want = sum(w * _complex(a) * _complex(b) for a, b, w in terms)
+        assert abs(_complex(dot) - want) < 1e-6
+        total = cyc_sum(vals)
+        assert abs(_complex(total) - sum(map(_complex, vals))) < 1e-6
+        pairwise = 0
+        for a, b, w in terms:
+            pairwise = pairwise + a * b * w
+        assert dot == pairwise
+        pairwise = vals[0]
+        for v in vals[1:]:
+            pairwise = pairwise + v
+        assert total == pairwise
+
+
+def test_sums_reduce_once(monkeypatch):
+    S4 = group("S4")
+    H = S4.subgroup([parse_cycles("(1,2,3,4)", degree=4), parse_cycles("(1,3)", degree=4)])
+    tG, tH = character_table(S4), character_table(H.as_group())
+    tG.conj_values()
+    tH.conj_values()
+    terms = [(Z(12, i), Z(8, 3 * i), i) for i in range(50)]
+    calls = []
+    reduce = cyclo._reduce
+    monkeypatch.setattr(cyclo, "_reduce", lambda e, raw: calls.append(e) or reduce(e, raw))
+    frobenius_matrix(S4, H)
+    assert len(calls) == tH.k * tG.k
+    calls.clear()
+    cyc_dot(terms)
+    assert calls == [24]
