@@ -9,7 +9,7 @@ and a handful of fixed generator lists under Named labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, update_wrapper
 from math import factorial
 
 from .config import DEFAULT_ORDER_CAP
@@ -158,10 +158,20 @@ def expected_order(spec):
     raise InvalidSpec(f"unknown spec kind {kind!r}")
 
 
+def _uncached_for_files(cached):
+    """The lru_cache `cached`, bypassed for generator files (their contents can
+    change under the same path); its cache_info and cache_clear are kept."""
+    def construct(spec, order_cap=None):
+        return (cached.__wrapped__ if spec.kind == "FromGenerators" else cached)(spec, order_cap)
+    construct.cache_info, construct.cache_clear = cached.cache_info, cached.cache_clear
+    return update_wrapper(construct, cached)
+
+
+@_uncached_for_files
 @lru_cache(maxsize=None)
 def construct(spec, order_cap=None):
     """Build the permutation group for a spec; order is verified exactly
-    whenever the construction predicts it."""
+    whenever the construction predicts it.  Generator files are not cached."""
     G = _build(spec, order_cap)
     want = expected_order(spec)
     if want is not None and G.order != want:

@@ -4,17 +4,21 @@ A value is a conductor e together with an integer coefficient vector of
 length e giving the coefficients of zeta_e^k.  Vectors are kept reduced
 modulo the e-th cyclotomic polynomial, so only the first phi(e) entries can
 be nonzero and two values with the same conductor are equal iff their
-vectors are equal.  Every sum and product (`cyc_dot`) is accumulated
-unreduced at L, the lcm of the conductors involved, and reduced mod Phi_L
-once; an L above the conductor cap raises ConductorOverflow.  Python
-integers are unbounded, so coefficient overflow cannot occur.
+vectors are equal.  Every sum and product (`cyc_dot`) is reduced once per
+conductor part, mod Phi_m at the lcm m of the part's conductor pair; rational
+parts add as integers, the rest are lifted to L, the lcm of all conductors.
+An L above the conductor cap raises ConductorOverflow before any accumulation.
+Python integers are unbounded, so coefficient overflow cannot occur.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
+from operator import add
 
 from .config import DEFAULT_CONDUCTOR_CAP
 from .errors import ConductorOverflow, NotCoprime, NotRational
@@ -55,30 +59,38 @@ def _polydiv_exact(num, den):
     return out
 
 
+@lru_cache(maxsize=1024)
+def _nonzero_pairs(coeffs):
+    """Nonzero (exponent, coefficient) pairs; equal vectors share one tuple."""
+    return tuple(compress(enumerate(coeffs), coeffs))
+
+
+@lru_cache(maxsize=None)
+def _phi_terms(e):
+    """deg Phi_e and the nonzero (j, coefficient) pairs of Phi_e below x^deg."""
+    low = cyclotomic_polynomial(e)[:-1]
+    return len(low), _nonzero_pairs(low)
+
+
 def _reduce(e, raw):
-    """Fold exponents mod e, then reduce mod Phi_e; returns a length-e tuple."""
-    vec = [0] * e
-    for j, c in enumerate(raw):
-        if c:
-            vec[j % e] += c
-    phi = cyclotomic_polynomial(e)
-    deg = len(phi) - 1
+    """Reduce a raw vector of length e or 2e mod Phi_e (exponents j and j + e
+    fold together); returns a length-e tuple."""
+    vec = list(map(add, raw[:e], raw[e:])) if len(raw) == 2 * e else list(raw)
+    deg, terms = _phi_terms(e)
     for i in range(e - 1, deg - 1, -1):
         c = vec[i]
         if c:
             vec[i] = 0
             base = i - deg
-            for j in range(deg):
-                pc = phi[j]
-                if pc:
-                    vec[base + j] -= c * pc
+            for j, pc in terms:
+                vec[base + j] -= c * pc
     return tuple(vec)
 
 
 class Cyclotomic:
     """An element of Z[zeta_conductor] in reduced canonical form."""
 
-    __slots__ = ("conductor", "coeffs", "_minimal")
+    __slots__ = ("conductor", "coeffs", "_minimal", "_nonzero")
 
     def __init__(self, conductor, coeffs, _reduced=False):
         if conductor < 1:
@@ -86,6 +98,7 @@ class Cyclotomic:
         self.conductor = conductor
         self.coeffs = coeffs if _reduced else _reduce(conductor, coeffs)
         self._minimal = None
+        self._nonzero = None
 
     # -- constructors ---------------------------------------------------
 
@@ -113,6 +126,13 @@ class Cyclotomic:
     def is_rational(self):
         return not any(self.coeffs[1:])
 
+    @property
+    def nonzero(self):
+        """The (exponent, coefficient) pairs with nonzero coefficient (cached)."""
+        if self._nonzero is None:
+            self._nonzero = _nonzero_pairs(self.coeffs)
+        return self._nonzero
+
     def to_rational_integer(self):
         if any(self.coeffs[1:]):
             raise NotRational(f"{self} is not a rational integer")
@@ -127,10 +147,11 @@ class Cyclotomic:
             return self
         step = e2 // e
         raw = [0] * e2
-        for j, c in enumerate(self.coeffs):
-            if c:
-                raw[j * step] = c
-        return Cyclotomic(e2, raw)
+        for j, c in self.nonzero:
+            raw[j * step] = c
+        # a vector with no exponent at or above deg Phi_e2 is already reduced
+        top = self.nonzero[-1][0] * step if self.nonzero else 0
+        return Cyclotomic(e2, tuple(raw), _reduced=top < _phi_terms(e2)[0])
 
     def key_at(self, e2):
         """Coefficient tuple at conductor e2; a total ordering key."""
@@ -179,9 +200,8 @@ class Cyclotomic:
         if self.is_rational or k == 1:
             return self
         raw = [0] * e
-        for j, c in enumerate(self.coeffs):
-            if c:
-                raw[(j * k) % e] += c
+        for j, c in self.nonzero:
+            raw[(j * k) % e] += c
         return Cyclotomic(e, raw)
 
     def conjugate(self):
@@ -339,21 +359,31 @@ def cyc_sum(values):
 def cyc_dot(terms):
     """Exact sum of w * a * b over (a, b, w): Cyclotomic factors, int weights.
 
-    Exponent j at conductor n lands at j * L / n in one unreduced list, L the
-    lcm of every conductor; `_reduce` folds it mod L and Phi_L once.
+    The terms of each conductor pair are accumulated unreduced at its lcm m and
+    reduced mod Phi_m once.  A rational part adds as an integer; any other is
+    lifted to L, the lcm of every conductor, where sums stay reduced.
     """
-    terms = list(terms)
-    L = lcm(*{a.conductor for a, _, _ in terms}, *{b.conductor for _, b, _ in terms})
+    parts = defaultdict(list)
+    for t in terms:
+        parts[t[0].conductor, t[1].conductor].append(t)
+    L = lcm(*{n for pair in parts for n in pair})
     if L > DEFAULT_CONDUCTOR_CAP:
         raise ConductorOverflow(f"conductor {L} exceeds cap {DEFAULT_CONDUCTOR_CAP}")
-    raw = [0] * (2 * L)
-    for a, b, w in terms:
-        sb = L // b.conductor
-        nzb = [(j * sb, w * c) for j, c in enumerate(b.coeffs) if c]
-        sa = L // a.conductor
-        for i, ca in enumerate(a.coeffs):
-            if ca:
+    total = [0] * L
+    for (na, nb), part in parts.items():
+        m = lcm(na, nb)
+        sa, sb = m // na, m // nb
+        raw = [0] * (2 * m)
+        for a, b, w in part:
+            nzb = b._nonzero or b.nonzero  # the slot first: cheaper than the property
+            for i, ca in a._nonzero or a.nonzero:
                 i *= sa
+                ca *= w
                 for j, cb in nzb:
-                    raw[i + j] += ca * cb
-    return Cyclotomic(L, raw)
+                    raw[i + j * sb] += ca * cb
+        vec = _reduce(m, raw)
+        if any(vec[1:]):
+            total[:] = map(add, total, Cyclotomic(m, vec, _reduced=True).lift(L).coeffs)
+        else:
+            total[0] += vec[0]
+    return Cyclotomic(L, tuple(total), _reduced=True)

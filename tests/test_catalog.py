@@ -294,3 +294,13 @@ def test_huge_prime_spec_fails_without_hanging():
 def test_spec_with_more_points_than_the_order_cap_is_refused(text):
     with pytest.raises(DeskScaleExceeded, match="order cap"):
         construct(parse_group_spec(text))
+
+
+def test_file_spec_reads_the_file_again(tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_text("degree 3\n(1,2)\n")
+    spec = parse_group_spec(f"file:{f}")
+    assert construct(spec).order == 2
+    f.write_text("degree 3\n(1,2)\n(1,2,3)\n")
+    assert construct(spec).order == 6
+    assert construct(parse_group_spec(f"file:{f}")).order == 6

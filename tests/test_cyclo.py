@@ -197,6 +197,8 @@ def test_sums_and_dot_products_match_complex_evaluation():
 
 
 def test_sums_reduce_once(monkeypatch):
+    # once per conductor part: D8's classes have element orders 1, 2, 2, 2, 4,
+    # so each entry of F(S4, D8) has the parts (1, 1), (2, 2) and (4, 4)
     S4 = group("S4")
     H = S4.subgroup([parse_cycles("(1,2,3,4)", degree=4), parse_cycles("(1,3)", degree=4)])
     tG, tH = character_table(S4), character_table(H.as_group())
@@ -207,7 +209,83 @@ def test_sums_reduce_once(monkeypatch):
     reduce = cyclo._reduce
     monkeypatch.setattr(cyclo, "_reduce", lambda e, raw: calls.append(e) or reduce(e, raw))
     frobenius_matrix(S4, H)
-    assert len(calls) == tH.k * tG.k
+    assert max(calls) <= 4
+    assert len(calls) == tH.k * tG.k * 3 == 75
     calls.clear()
     cyc_dot(terms)
     assert calls == [24]
+
+
+def _reduce_dense(e, raw):
+    """The reference: fold every exponent mod e, then reduce mod Phi_e
+    over every coefficient of Phi_e."""
+    vec = [0] * e
+    for j, c in enumerate(raw):
+        if c:
+            vec[j % e] += c
+    phi = cyclotomic_polynomial(e)
+    deg = len(phi) - 1
+    for i in range(e - 1, deg - 1, -1):
+        c = vec[i]
+        if c:
+            vec[i] = 0
+            base = i - deg
+            for j in range(deg):
+                pc = phi[j]
+                if pc:
+                    vec[base + j] -= c * pc
+    return tuple(vec)
+
+
+@pytest.mark.parametrize("e", [1, 2, 12, 24, 420, 546, 780, 1710, 3036])
+def test_reduce_matches_the_dense_loop(e):
+    rng = random.Random(e)
+    for length in (e, 2 * e):
+        for density in (0.05, 1.0):
+            raw = [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(length)]
+            assert cyclo._reduce(e, raw) == _reduce_dense(e, raw)
+
+
+def test_lift_fast_path_equals_lifting_through_reduce():
+    rng = random.Random(3)
+    for e, e2 in ((1, 3036), (2, 12), (3, 12), (4, 12), (12, 3036), (23, 3036), (11, 132)):
+        vals = [Cyclotomic.from_int(rng.randint(-5, 5)), Z(e), Z(e, e - 1)]
+        vals.append(Cyclotomic(e, [rng.randint(-3, 3) for _ in range(e)]))
+        for v in vals:
+            raw = [0] * e2
+            for j, c in enumerate(v.coeffs):
+                raw[j * (e2 // e)] = c
+            assert v.lift(e2).coeffs == cyclo._reduce(e2, raw)
+            assert v.lift(e2) == v
+
+
+def test_dot_with_rational_and_irrational_parts_at_3036():
+    # parts (23, 23) and (11, 1) sum to rationals: z^(2k) over k = 1..22 is -1,
+    # and so is z_11^k over k = 1..10; parts (12, 12) and (11, 12) do not
+    rng = random.Random(23)
+    one = Cyclotomic.from_int(1)
+    terms = [(Z(23, k), Z(23, k), 1) for k in range(1, 23)]
+    terms += [(Z(11, k), one, 2) for k in range(1, 11)]
+    v11, v12 = (Cyclotomic(n, [rng.randint(-3, 3) for _ in range(n)]) for n in (11, 12))
+    terms += [(v12, Z(12, 5), 3), (v12, v12, -1), (v11, v12, 2)]
+    rng.shuffle(terms)
+    dot = cyc_dot(terms)
+    assert dot.conductor == 3036
+    want = sum(w * _complex(a) * _complex(b) for a, b, w in terms)
+    assert abs(_complex(dot) - want) < 1e-6
+    pairwise = 0
+    for a, b, w in terms:
+        pairwise = pairwise + a * b * w
+    assert dot == pairwise
+    rational = cyc_dot(t for t in terms if t[0].conductor in (11, 23) and t[1].conductor != 12)
+    assert rational == -3
+
+
+def test_nonzero_pairs_are_cached_and_match_the_coefficients():
+    rng = random.Random(17)
+    for e in (1, 2, 7, 12, 60):
+        v = Cyclotomic(e, [rng.choice((0, 0, 1, -2)) for _ in range(e)])
+        for w in (v, v * v, v.lift(2 * e), cyc_sum([v, 1])):
+            want = tuple((j, c) for j, c in enumerate(w.coeffs) if c)
+            assert w.nonzero == want
+            assert w.nonzero is w.nonzero
