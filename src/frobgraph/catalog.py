@@ -1,16 +1,25 @@
 """Constructors for the named groups used throughout the analyses.
 
-Each GroupSpec names a permutation construction: symmetric/alternating/cyclic
-/dihedral groups, elementary abelian groups, direct products, affine groups
-AGL(1, q) and their kernel-preserving subgroups, SL/PSL over small fields,
-and a handful of fixed generator lists under Named labels.
+Three tables say everything about the kinds a GroupSpec can name.
+`_FAMILIES` has one entry per parametrised kind (symmetric, alternating,
+cyclic, dihedral and elementary abelian groups, AGL(1, q) and its
+kernel-preserving subgroups, SL(2, q), PSL(2, q), PSL(3, 2)): the spec
+prefix, the parameter count, and functions of the parameters for the
+degree, the order and the builder; parsing, labels, expected orders and
+construction all read it.  `NAMED_SPECS` maps each Named label to another
+GroupSpec or to (degree, generator cycles, order).  `CATALOG_SPECS` lists
+the groups the CLI ships.  Direct products and generator files are the
+only other kinds, and the linear groups share one action, `_linear_action`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, update_wrapper
-from math import factorial
+from functools import lru_cache, reduce, update_wrapper
+from itertools import product
+from math import factorial, gcd, prod
+from operator import mul
 
 from .config import DEFAULT_ORDER_CAP
 from .cyclo import is_prime
@@ -37,33 +46,179 @@ class GroupSpec:
             return f"Named:{self.params[0]}"
         if self.kind == "DirectProduct":
             return "x".join(p.label() for p in self.params)
-        short = {
-            "Symmetric": "S",
-            "Alternating": "A",
-            "Cyclic": "C",
-            "Dihedral": "D",
-        }.get(self.kind)
-        if short:
-            return f"{short}{self.params[0]}"
-        prefix = {
-            "ElementaryAbelian": "EA",
-            "AGL1Subgroup": "AGL1",
-            "FromGenerators": "file",
-        }.get(self.kind, self.kind)
-        return ":".join([prefix] + [str(p) for p in self.params])
+        if self.kind == "FromGenerators":
+            return f"file:{self.params[0]}"
+        return _family(self.kind).prefix + ":".join(map(str, self.params))
 
+
+# A parametrised kind, written `prefix` then its `nparams` parameters ("S" +
+# "5", "EA:" + "3:2").  degree(*params) is the number of points, known before
+# building (None when only the builder knows it); build(*params, order_cap)
+# returns the group, of order order(*params).
+_Family = namedtuple("_Family", "prefix nparams degree order build")
+
+
+def _family(kind):
+    if kind not in _FAMILIES:
+        raise InvalidSpec(f"unknown spec kind {kind!r}")
+    return _FAMILIES[kind]
+
+
+def _symmetric(n, order_cap):
+    if n < 1:
+        raise InvalidSpec("degree must be at least 1")
+    if n == 1:
+        return _close(1, [], order_cap)
+    gens = [Permutation.from_cycles(n, [(0, 1)]),
+            Permutation.from_cycles(n, [tuple(range(n))])]
+    return _close(n, gens, order_cap)
+
+
+def _alternating(n, order_cap):
+    if n < 1:
+        raise InvalidSpec("degree must be at least 1")
+    if n < 3:
+        return _close(n, [], order_cap)
+    cyc = tuple(range(n)) if n % 2 else tuple(range(1, n))
+    gens = [Permutation.from_cycles(n, [(0, 1, 2)]), Permutation.from_cycles(n, [cyc])]
+    return _close(n, gens, order_cap)
+
+
+def _cyclic(n, order_cap):
+    if n < 1:
+        raise InvalidSpec("order must be positive")
+    return _close(n, [Permutation.from_cycles(n, [tuple(range(n))])], order_cap)
+
+
+def _dihedral(order, order_cap):
+    if order % 2 or order < 6:
+        raise InvalidSpec("dihedral spec takes the group order, an even number >= 6")
+    n = order // 2
+    rot = Permutation.from_cycles(n, [tuple(range(n))])
+    ref = Permutation(tuple((n - i) % n for i in range(n)))
+    return _close(n, [rot, ref], order_cap)
+
+
+def _elementary_abelian(p, k, order_cap):
+    if not is_prime(p):
+        raise InvalidSpec(f"{p} is not prime")
+    gens = [
+        Permutation.from_cycles(p * k, [tuple(range(i * p, (i + 1) * p))])
+        for i in range(k)
+    ]
+    return _close(p * k, gens, order_cap)
+
+
+def _affine_group(q, d, order_cap):
+    """Translations of GF(q) plus the order-d power of a primitive scaling.
+
+    Translations by a basis of GF(q) over its prime field are all needed:
+    for small d the scaling orbit of 1 does not span the field additively.
+    """
+    F = gf(q)
+    gens = [
+        Permutation(tuple(F.add(x, F.p**i) for x in range(q)))
+        for i in range(F.k)
+    ]
+    if d > 1:
+        s = F.power(F.primitive, (q - 1) // d)
+        gens.append(Permutation(tuple(F.mul(s, x) for x in range(q))))
+    return _close(q, gens, order_cap)
+
+
+def _affine_subgroup(q, d, order_cap):
+    if d < 1 or (q - 1) % d:
+        raise InvalidSpec(f"index parameter {d} must divide {q - 1}")
+    return _affine_group(q, d, order_cap)
+
+
+def _linear_action(F, matrices, points, projective):
+    """The permutations v -> M v of `points`, vectors over the field F, one
+    per matrix M.  A projective point is written with its first nonzero
+    coordinate 1, and each image is scaled to that form."""
+    index = {v: i for i, v in enumerate(points)}
+    inverse = {a: b for a in range(1, F.q) for b in range(1, F.q) if F.mul(a, b) == 1}
+    gens = []
+    for M in matrices:
+        images = []
+        for v in points:
+            w = tuple(reduce(F.add, map(F.mul, row, v)) for row in M)
+            if projective:
+                s = inverse[next(filter(None, w))]
+                w = tuple(F.mul(s, c) for c in w)
+            images.append(index[w])
+        gens.append(Permutation(images))
+    return gens
+
+
+def _sl2_matrices(F):
+    """Transvections generating SL(2, q).  Over a proper extension field the
+    unit ones generate only SL(2, p), so those by a primitive element join."""
+    mats = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
+    if F.k > 1:
+        g = F.primitive
+        mats += [((1, g), (0, 1)), ((1, 0), (g, 1))]
+    return mats
+
+
+def _sl2(q):
+    """Generators of SL(2, q) on the q^2 - 1 nonzero vectors of the plane,
+    in product order."""
+    F = gf(q)
+    return _linear_action(F, _sl2_matrices(F), list(product(range(q), repeat=2))[1:], False)
+
+
+def _psl2(q):
+    """Generators of PSL(2, q) on the q + 1 points of the projective line:
+    point i < q is [1 : i], point q is [0 : 1]."""
+    F = gf(q)
+    return _linear_action(F, _sl2_matrices(F), [(1, i) for i in range(q)] + [(0, 1)], True)
+
+
+_PSL32_MATRICES = (
+    ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+    ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+    ((1, 0, 0), (0, 1, 1), (0, 0, 1)),
+)
+
+
+def _psl3(n, order_cap):
+    """PSL(3, 2) = GL(3, 2) on the 7 points of the projective plane over
+    F_2, which are the nonzero vectors of F_2^3, in product order."""
+    if n != 2:
+        raise InvalidSpec("only PSL(3,2) is cataloged")
+    points = list(product(range(2), repeat=3))[1:]
+    return _close(7, _linear_action(gf(2), _PSL32_MATRICES, points, True), order_cap)
+
+
+_FAMILIES = {
+    "Symmetric": _Family("S", 1, lambda n: n, factorial, _symmetric),
+    # the trivial A1 and A2 count as one point
+    "Alternating": _Family("A", 1, lambda n: n if n >= 3 else 1,
+                           lambda n: max(factorial(n) // 2, 1), _alternating),
+    "Cyclic": _Family("C", 1, lambda n: n, lambda n: n, _cyclic),
+    "Dihedral": _Family("D", 1, lambda n: n // 2, lambda n: n, _dihedral),
+    "ElementaryAbelian": _Family("EA:", 2, mul, pow, _elementary_abelian),
+    "AGL1": _Family("AGL1:", 1, lambda q: q, lambda q: q * (q - 1),
+                    lambda q, cap: _affine_group(q, q - 1, cap)),
+    "AGL1Subgroup": _Family("AGL1:", 2, lambda q, d: q, mul, _affine_subgroup),
+    "SL2": _Family("SL2:", 1, lambda q: q * q - 1, lambda q: q * (q * q - 1),
+                   lambda q, cap: _close(q * q - 1, _sl2(q), cap)),
+    "PSL2": _Family("PSL2:", 1, lambda q: q + 1, lambda q: q * (q * q - 1) // (2 if q % 2 else 1),
+                    lambda q, cap: _close(q + 1, _psl2(q), cap)),
+    # the parameter is checked before any degree is known
+    "PSL3": _Family("PSL3:", 1, lambda n: None,
+                    lambda n: n**3 * (n**3 - 1) * (n * n - 1) // gcd(3, n - 1), _psl3),
+}
 
 NAMED_SPECS = {
     "G351": GroupSpec("AGL1Subgroup", (27, 13)),
     "G80": GroupSpec("AGL1Subgroup", (16, 5)),
     "D12": GroupSpec("Dihedral", (12,)),
+    # 2^2:9 of order 36 on 13 points: a Klein four group on {1..4} rotated
+    # by a 9-cycle whose cube acts trivially on it
+    "V9C2x2": (13, ("(1,2)(3,4)", "(2,3,4)(5,6,7,8,9,10,11,12,13)"), 36),
 }
-
-_ALL_NAMED = set(NAMED_SPECS) | {"V9C2x2"}
-
-# 2^2:9 of order 36 on 13 points: a Klein four group on {1..4} rotated by a
-# 9-cycle whose cube acts trivially on it
-_V9C2X2_GENS = ["(1,2)(3,4)", "(2,3,4)(5,6,7,8,9,10,11,12,13)"]
 
 
 def parse_group_spec(text):
@@ -73,7 +228,7 @@ def parse_group_spec(text):
     # a path may contain 'x', so files are recognised before products
     if text.startswith("file:"):
         return GroupSpec("FromGenerators", (text[5:],))
-    if text.startswith("Named:") and text[6:] in _ALL_NAMED:
+    if text.startswith("Named:") and text[6:] in NAMED_SPECS:
         return GroupSpec("Named", (text[6:],))
     if "x" in text:
         # a Named label may itself contain 'x'; re-join split fragments
@@ -84,7 +239,7 @@ def parse_group_spec(text):
             part = raw[i]
             while (
                 part.startswith("Named:")
-                and part[6:] not in _ALL_NAMED
+                and part[6:] not in NAMED_SPECS
                 and i + 1 < len(raw)
             ):
                 i += 1
@@ -97,65 +252,34 @@ def parse_group_spec(text):
             )
     if text.startswith("Named:"):
         raise InvalidSpec(f"unknown named group {text[6:]!r}")
-    for prefix, kind in (("EA", "ElementaryAbelian"), ("AGL1", "AGL1"),
-                         ("SL2", "SL2"), ("PSL2", "PSL2"), ("PSL3", "PSL3")):
-        if text == prefix or text.startswith(prefix + ":"):
-            args = text[len(prefix) + 1 :].split(":") if ":" in text else []
-            try:
-                params = tuple(int(a) for a in args if a)
-            except ValueError:
-                raise InvalidSpec(f"bad parameters in {text!r}")
-            if kind == "AGL1" and len(params) == 2:
-                return GroupSpec("AGL1Subgroup", params)
-            return GroupSpec(kind, params)
-    for prefix, kind in (("S", "Symmetric"), ("A", "Alternating"),
-                         ("C", "Cyclic"), ("D", "Dihedral")):
-        if text.startswith(prefix) and text[len(prefix) :].isdigit():
-            return GroupSpec(kind, (int(text[len(prefix) :]),))
+    head, _, rest = text.partition(":")
+    kinds = [kind for kind, f in _FAMILIES.items() if f.prefix == head + ":"]
+    if kinds:
+        try:
+            params = tuple(int(a) for a in rest.split(":") if a)
+        except ValueError:
+            raise InvalidSpec(f"bad parameters in {text!r}")
+        # AGL1:q and AGL1:q:d share a prefix; the parameter count picks the kind
+        kind = next((k for k in kinds if _FAMILIES[k].nparams == len(params)), kinds[0])
+        return GroupSpec(kind, params)
+    for kind, f in _FAMILIES.items():
+        digits = text[len(f.prefix) :]
+        if text.startswith(f.prefix) and digits.isdigit():
+            return GroupSpec(kind, (int(digits),))
     raise InvalidSpec(f"cannot parse group spec {text!r}")
 
 
 def expected_order(spec):
     """Group order from the construction parameters, without building."""
     kind, p = spec.kind, spec.params
-    if kind == "Symmetric":
-        return factorial(p[0])
-    if kind == "Alternating":
-        return factorial(p[0]) // 2
-    if kind == "Cyclic":
-        return p[0]
-    if kind == "Dihedral":
-        return p[0]
-    if kind == "ElementaryAbelian":
-        return p[0] ** p[1]
-    if kind == "DirectProduct":
-        n = 1
-        for sub in p:
-            n *= expected_order(sub)
-        return n
-    if kind == "AGL1":
-        q = p[0]
-        return q * (q - 1)
-    if kind == "AGL1Subgroup":
-        q, d = p
-        return q * d
-    if kind == "SL2":
-        q = p[0]
-        return q * (q * q - 1)
-    if kind == "PSL2":
-        q = p[0]
-        return q * (q * q - 1) // (2 if q % 2 else 1)
-    if kind == "PSL3":
-        if p[0] != 2:
-            raise InvalidSpec("only PSL(3,2) is cataloged")
-        return 168
-    if kind == "Named":
-        if p[0] == "V9C2x2":
-            return 36
-        return expected_order(NAMED_SPECS[p[0]])
     if kind == "FromGenerators":
         return None  # only known after closure
-    raise InvalidSpec(f"unknown spec kind {kind!r}")
+    if kind == "DirectProduct":
+        return prod(map(expected_order, p))
+    if kind == "Named":
+        entry = NAMED_SPECS[p[0]]
+        return expected_order(entry) if isinstance(entry, GroupSpec) else entry[2]
+    return _family(kind).order(*p)
 
 
 def _uncached_for_files(cached):
@@ -183,64 +307,15 @@ def construct(spec, order_cap=None):
 
 def _build(spec, order_cap):
     kind, p = spec.kind, spec.params
-    degree = _degree(spec)
-    cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
-    # a catalog group has at least as many elements as points, so this
-    # refuses before any primality test or permutation of that degree
-    if degree is not None and degree > cap:
-        raise DeskScaleExceeded(
-            f"{spec.label()} acts on {degree} points, more than the order cap {cap}"
-        )
-    if kind == "Named":
-        if p[0] == "V9C2x2":
-            gens = [parse_cycles(s, degree=13) for s in _V9C2X2_GENS]
-            return _close(13, gens, order_cap)
-        return _build(NAMED_SPECS[p[0]], order_cap)
     if kind == "FromGenerators":
         degree, gens = read_permutation_spec(p[0])
         return group_from_generators(degree, gens, order_cap=order_cap)
-    if kind == "Symmetric":
-        n = _need(p, 1, kind)[0]
-        if n < 1:
-            raise InvalidSpec("degree must be at least 1")
-        if n == 1:
-            return _close(1, [], order_cap)
-        gens = [Permutation.from_cycles(n, [(0, 1)]),
-                Permutation.from_cycles(n, [tuple(range(n))])]
-        return _close(n, gens, order_cap)
-    if kind == "Alternating":
-        n = _need(p, 1, kind)[0]
-        if n < 3:
-            return _close(max(n, 1), [], order_cap)
-        cyc = tuple(range(n)) if n % 2 else tuple(range(1, n))
-        gens = [Permutation.from_cycles(n, [(0, 1, 2)])]
-        if len(cyc) > 1:
-            gens.append(Permutation.from_cycles(n, [cyc]))
-        return _close(n, gens, order_cap)
-    if kind == "Cyclic":
-        n = _need(p, 1, kind)[0]
-        if n < 1:
-            raise InvalidSpec("order must be positive")
-        if n == 1:
-            return _close(1, [], order_cap)
-        return _close(n, [Permutation.from_cycles(n, [tuple(range(n))])], order_cap)
-    if kind == "Dihedral":
-        order = _need(p, 1, kind)[0]
-        if order % 2 or order < 6:
-            raise InvalidSpec("dihedral spec takes the group order, an even number >= 6")
-        n = order // 2
-        rot = Permutation.from_cycles(n, [tuple(range(n))])
-        ref = Permutation(tuple((n - i) % n for i in range(n)))
-        return _close(n, [rot, ref], order_cap)
-    if kind == "ElementaryAbelian":
-        pr, k = _need(p, 2, kind)
-        if not is_prime(pr):
-            raise InvalidSpec(f"{pr} is not prime")
-        gens = [
-            Permutation.from_cycles(pr * k, [tuple(range(i * pr, (i + 1) * pr))])
-            for i in range(k)
-        ]
-        return _close(pr * k, gens, order_cap)
+    if kind == "Named":
+        entry = NAMED_SPECS[p[0]]
+        if isinstance(entry, GroupSpec):
+            return _build(entry, order_cap)
+        degree, cycles, _ = entry
+        return _close(degree, [parse_cycles(c, degree=degree) for c in cycles], order_cap)
     if kind == "DirectProduct":
         groups = [construct(s, order_cap) for s in p]
         degree = sum(g.degree for g in groups)
@@ -254,140 +329,18 @@ def _build(spec, order_cap):
                 gens.append(Permutation(images))
             offset += g.degree
         return _close(degree, gens, order_cap)
-    if kind == "AGL1":
-        q = _need(p, 1, kind)[0]
-        return _affine_group(q, q - 1, order_cap)
-    if kind == "AGL1Subgroup":
-        q, d = _need(p, 2, kind)
-        if d < 1 or (q - 1) % d:
-            raise InvalidSpec(f"index parameter {d} must divide {q - 1}")
-        return _affine_group(q, d, order_cap)
-    if kind == "SL2":
-        return _sl2(_need(p, 1, kind)[0], order_cap)
-    if kind == "PSL2":
-        return _psl2(_need(p, 1, kind)[0], order_cap)
-    if kind == "PSL3":
-        if _need(p, 1, kind)[0] != 2:
-            raise InvalidSpec("only PSL(3,2) is cataloged")
-        return _psl32(order_cap)
-    raise InvalidSpec(f"unknown spec kind {kind!r}")
-
-
-def _degree(spec):
-    """Points a parametrised family acts on, known before building; the
-    trivial A1 and A2 count as one point.  None for the other kinds."""
-    kind, p = spec.kind, spec.params
-    if kind in ("Symmetric", "Cyclic", "AGL1"):
-        return _need(p, 1, kind)[0]
-    if kind == "Alternating":
-        n = _need(p, 1, kind)[0]
-        return n if n >= 3 else 1
-    if kind == "Dihedral":
-        return _need(p, 1, kind)[0] // 2
-    if kind == "ElementaryAbelian":
-        pr, k = _need(p, 2, kind)
-        return pr * k
-    if kind == "AGL1Subgroup":
-        return _need(p, 2, kind)[0]
-    if kind == "SL2":
-        q = _need(p, 1, kind)[0]
-        return q * q - 1
-    if kind == "PSL2":
-        return _need(p, 1, kind)[0] + 1
-    return None
-
-
-def _need(params, n, kind):
-    if len(params) != n:
-        raise InvalidSpec(f"{kind} takes {n} parameter(s), got {len(params)}")
-    return params
-
-
-def _affine_group(q, d, order_cap):
-    """Translations of GF(q) plus the order-d power of a primitive scaling.
-
-    Translations by a basis of GF(q) over its prime field are all needed:
-    for small d the scaling orbit of 1 does not span the field additively.
-    """
-    F = gf(q)
-    gens = [
-        Permutation(tuple(F.add(x, F.p**i) for x in range(q)))
-        for i in range(F.k)
-    ]
-    if d > 1:
-        s = F.power(F.primitive, (q - 1) // d)
-        gens.append(Permutation(tuple(F.mul(s, x) for x in range(q))))
-    return _close(q, gens, order_cap)
-
-
-def _sl2_matrices(q):
-    F = gf(q)
-    mats = [
-        ((F.one, F.one), (F.zero, F.one)),
-        ((F.one, F.zero), (F.one, F.one)),
-    ]
-    if F.k > 1:
-        g = F.primitive
-        mats.append(((F.one, g), (F.zero, F.one)))
-        mats.append(((F.one, F.zero), (g, F.one)))
-    return F, mats
-
-
-def _sl2(q, order_cap):
-    """SL(2, q) acting on the q^2 - 1 nonzero vectors of the plane."""
-    F, mats = _sl2_matrices(q)
-    vecs = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
-    idx = {v: i for i, v in enumerate(vecs)}
-    gens = []
-    for (m00, m01), (m10, m11) in mats:
-        images = []
-        for a, b in vecs:
-            na = F.add(F.mul(m00, a), F.mul(m01, b))
-            nb = F.add(F.mul(m10, a), F.mul(m11, b))
-            images.append(idx[(na, nb)])
-        gens.append(Permutation(images))
-    return _close(len(vecs), gens, order_cap)
-
-
-def _psl2(q, order_cap):
-    """PSL(2, q) on the q + 1 points of the projective line."""
-    F, mats = _sl2_matrices(q)
-    # point i < q is [1 : i], point q is [0 : 1]
-    def point_index(a, b):
-        if a != 0:
-            ainv = next(x for x in range(1, q) if F.mul(a, x) == F.one)
-            return F.mul(b, ainv)
-        return q
-
-    gens = []
-    for (m00, m01), (m10, m11) in mats:
-        images = []
-        for i in range(q + 1):
-            a, b = (F.one, i) if i < q else (F.zero, F.one)
-            na = F.add(F.mul(m00, a), F.mul(m01, b))
-            nb = F.add(F.mul(m10, a), F.mul(m11, b))
-            images.append(point_index(na, nb))
-        gens.append(Permutation(images))
-    return _close(q + 1, gens, order_cap)
-
-
-def _psl32(order_cap):
-    """PSL(3, 2) = GL(3, 2) on the 7 nonzero vectors of F_2^3."""
-    vecs = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)][1:]
-    idx = {v: i for i, v in enumerate(vecs)}
-    mats = [
-        ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
-        ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
-        ((1, 0, 0), (0, 1, 1), (0, 0, 1)),
-    ]
-    gens = []
-    for m in mats:
-        images = []
-        for v in vecs:
-            w = tuple(sum(m[r][c] * v[c] for c in range(3)) % 2 for r in range(3))
-            images.append(idx[w])
-        gens.append(Permutation(images))
-    return _close(7, gens, order_cap)
+    family = _family(kind)
+    if len(p) != family.nparams:
+        raise InvalidSpec(f"{kind} takes {family.nparams} parameter(s), got {len(p)}")
+    degree = family.degree(*p)
+    cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
+    # a catalog group has at least as many elements as points, so this
+    # refuses before any primality test or permutation of that degree
+    if degree is not None and degree > cap:
+        raise DeskScaleExceeded(
+            f"{spec.label()} acts on {degree} points, more than the order cap {cap}"
+        )
+    return family.build(*p, order_cap)
 
 
 # ----------------------------------------------------------------------

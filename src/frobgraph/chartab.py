@@ -17,7 +17,7 @@ from math import isqrt, lcm
 
 from .cyclo import Cyclotomic, _prime_factors, cyc_dot, is_prime
 from .errors import InternalInconsistency
-from .group import conjugacy_classes, derived_subgroup
+from .group import conjugacy_classes, derived_subset
 
 # ----------------------------------------------------------------------
 # class multiplication coefficients
@@ -384,7 +384,10 @@ def _order_rows(rows, e):
             rest.append(r)
     if trivial is None:
         raise InternalInconsistency("trivial character missing")
-    rest.sort(key=lambda r: (r[0].to_rational_integer(), [v.key_at(e) for v in r]))
+    # each distinct value is lifted to the exponent once, however often it occurs
+    distinct = {(v.conductor, v.coeffs): v for r in rest for v in r}
+    key = {c: v.key_at(e) for c, v in distinct.items()}
+    rest.sort(key=lambda r: (r[0].to_rational_integer(), [key[v.conductor, v.coeffs] for v in r]))
     return [trivial] + rest
 
 
@@ -417,7 +420,7 @@ def _verify_table(table):
     # |G| = T*b - [G:G']*(b-1) - sum over middle degrees of d*(b-d),
     # with the abelianization order taken from the derived subgroup.
     st = table.stats()
-    ab = G.order // derived_subgroup(G).order
+    ab = G.order // len(derived_subset(G, G.generator_indices))
     if ab != sum(1 for d in degrees if d == 1):
         raise InternalInconsistency("linear character count != abelianization order")
     mid = sum(d * (st.b - d) for d in degrees if 1 < d < st.b)

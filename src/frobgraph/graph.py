@@ -110,14 +110,15 @@ def irr_action_orbits(G, K):
 
     K must be normal in G.  Each generator of G permutes the classes of K;
     the induced permutation of Irr(K) is read off by matching value rows.
+    Every value in a column has the class's element order as its conductor,
+    and conjugation preserves element orders, so rows match by coefficients.
     """
     if not K.is_normal():
         raise InternalInconsistency("irr_action_orbits requires a normal subgroup")
     tK = character_table(K.as_group())
     cd = tK.classes
     kk = tK.k
-    e = tK.exponent
-    row_key = {tuple(v.key_at(e) for v in tK.values[i]): i for i in range(kk)}
+    row_key = {tuple(v.coeffs for v in tK.values[i]): i for i in range(kk)}
     pos = K.sorted_indices()
     class_of = _hclass_of(K)
     row_perms = []
@@ -125,7 +126,7 @@ def irr_action_orbits(G, K):
         class_perm = [class_of[G.conj(g, pos[r])] for r in cd.rep_indices]
         perm = []
         for i in range(kk):
-            permuted = tuple(tK.values[i][class_perm[c]].key_at(e) for c in range(kk))
+            permuted = tuple(tK.values[i][class_perm[c]].coeffs for c in range(kk))
             j = row_key.get(permuted)
             if j is None:
                 raise InternalInconsistency("permuted character row not in table")

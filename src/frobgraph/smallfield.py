@@ -64,7 +64,7 @@ class GF:
         return out
 
     def _find_primitive(self):
-        for g in range(2, self.q):
+        for g in range(1, self.q):
             seen = set()
             x = self.one
             for _ in range(self.q - 1):

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import group
 
+from frobgraph import catalog
 from frobgraph.catalog import (
     CATALOG_SPECS,
     GroupSpec,
@@ -16,7 +17,8 @@ from frobgraph.catalog import (
     parse_group_spec,
     parse_permutation_spec,
 )
-from frobgraph.errors import DeskScaleExceeded, InvalidSpec, ParseError
+from frobgraph.config import DEFAULT_ORDER_CAP
+from frobgraph.errors import DeskScaleExceeded, FrobgraphError, InvalidSpec, ParseError
 from frobgraph.group import conjugacy_classes, derived_subgroup
 from frobgraph.smallfield import IRREDUCIBLE, gf
 from frobgraph.subgroups import enumerate_subgroup_classes, has_diameter_three_subgroup
@@ -56,6 +58,10 @@ def test_constructed_orders():
         ("PSL3:2", 168),
         ("S3xC4", 24),
         ("Named:V9C2x2", 36),
+        ("A1", 1),
+        ("AGL1:2", 2),
+        ("SL2:2", 6),
+        ("PSL2:2", 6),
     ):
         G = group(text)
         assert G.order == order, text
@@ -236,6 +242,8 @@ def test_field_tables_are_fields():
         # distributivity spot check
         for a, b, c in ((2, 3, 1), (q - 1, 2, 3)):
             assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+    # 1 generates the units of GF(2) only
+    assert gf(2).primitive == 1
 
 
 def test_catalog_orders_all_verified():
@@ -304,3 +312,118 @@ def test_file_spec_reads_the_file_again(tmp_path):
     f.write_text("degree 3\n(1,2)\n(1,2,3)\n")
     assert construct(spec).order == 6
     assert construct(parse_group_spec(f"file:{f}")).order == 6
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("PSL3:3", InvalidSpec, "only PSL(3,2) is cataloged"),
+    ("D7", InvalidSpec, "dihedral spec takes the group order, an even number >= 6"),
+    ("EA:4:2", InvalidSpec, "4 is not prime"),
+    ("AGL1:9:5", InvalidSpec, "index parameter 5 must divide 8"),
+    ("S0", InvalidSpec, "degree must be at least 1"),
+    ("A0", InvalidSpec, "degree must be at least 1"),
+    ("C0", InvalidSpec, "order must be positive"),
+    ("XYZ9", InvalidSpec, "cannot parse group spec 'XYZ9'"),
+    ("Named:NoSuch", InvalidSpec, "unknown named group 'NoSuch'"),
+    ("SL2", InvalidSpec, "SL2 takes 1 parameter(s), got 0"),
+    ("PSL2:6", InvalidSpec, "6 is not a prime power"),
+    ("EA:3", InvalidSpec, "ElementaryAbelian takes 2 parameter(s), got 1"),
+    ("PSL3:2:2", InvalidSpec, "PSL3 takes 1 parameter(s), got 2"),
+    ("AGL1:a", InvalidSpec, "bad parameters in 'AGL1:a'"),
+    ("A20000", DeskScaleExceeded, "A20000 acts on 20000 points, more than the order cap 10080"),
+    ("D30000", DeskScaleExceeded, "D30000 acts on 15000 points, more than the order cap 10080"),
+    ("AGL1:1000000000000000003", DeskScaleExceeded,
+     "AGL1:1000000000000000003 acts on 1000000000000000003 points, more than the order cap 10080"),
+])
+def test_spec_error_type_and_message(text, error, message):
+    with pytest.raises(FrobgraphError) as err:
+        construct(parse_group_spec(text))
+    assert err.type is error and str(err.value) == message
+
+
+# Reference actions, one explicit loop per group: the shared linear action
+# must reproduce their point numbering and generator images exactly.
+
+def _reference_sl2_matrices(q):
+    F = gf(q)
+    mats = [
+        ((F.one, F.one), (F.zero, F.one)),
+        ((F.one, F.zero), (F.one, F.one)),
+    ]
+    if F.k > 1:
+        g = F.primitive
+        mats.append(((F.one, g), (F.zero, F.one)))
+        mats.append(((F.one, F.zero), (g, F.one)))
+    return F, mats
+
+
+def _reference_sl2(q):
+    F, mats = _reference_sl2_matrices(q)
+    vecs = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
+    idx = {v: i for i, v in enumerate(vecs)}
+    gens = []
+    for (m00, m01), (m10, m11) in mats:
+        images = []
+        for a, b in vecs:
+            na = F.add(F.mul(m00, a), F.mul(m01, b))
+            nb = F.add(F.mul(m10, a), F.mul(m11, b))
+            images.append(idx[(na, nb)])
+        gens.append(images)
+    return gens
+
+
+def _reference_psl2(q):
+    F, mats = _reference_sl2_matrices(q)
+    # point i < q is [1 : i], point q is [0 : 1]
+    def point_index(a, b):
+        if a != 0:
+            ainv = next(x for x in range(1, q) if F.mul(a, x) == F.one)
+            return F.mul(b, ainv)
+        return q
+
+    gens = []
+    for (m00, m01), (m10, m11) in mats:
+        images = []
+        for i in range(q + 1):
+            a, b = (F.one, i) if i < q else (F.zero, F.one)
+            na = F.add(F.mul(m00, a), F.mul(m01, b))
+            nb = F.add(F.mul(m10, a), F.mul(m11, b))
+            images.append(point_index(na, nb))
+        gens.append(images)
+    return gens
+
+
+def _reference_psl32():
+    vecs = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)][1:]
+    idx = {v: i for i, v in enumerate(vecs)}
+    mats = [
+        ((0, 0, 1), (1, 0, 0), (0, 1, 0)),
+        ((1, 1, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 1, 1), (0, 0, 1)),
+    ]
+    gens = []
+    for m in mats:
+        images = []
+        for v in vecs:
+            w = tuple(sum(m[r][c] * v[c] for c in range(3)) % 2 for r in range(3))
+            images.append(idx[w])
+        gens.append(images)
+    return gens
+
+
+def _images(gens):
+    return [list(g.images) for g in gens]
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
+def test_linear_groups_keep_their_point_numbering(q):
+    sl2, psl2 = parse_group_spec(f"SL2:{q}"), parse_group_spec(f"PSL2:{q}")
+    assert _images(catalog._sl2(q)) == _reference_sl2(q)
+    assert _images(catalog._psl2(q)) == _reference_psl2(q)
+    # SL(2, 25) and SL(2, 27) are above the order cap, so only PSL2 closes
+    if expected_order(sl2) <= DEFAULT_ORDER_CAP:
+        assert _images(construct(sl2).generators) == _reference_sl2(q)
+    assert _images(construct(psl2).generators) == _reference_psl2(q)
+
+
+def test_psl32_keeps_its_point_numbering():
+    assert _images(construct(parse_group_spec("PSL3:2")).generators) == _reference_psl32()
