@@ -100,6 +100,9 @@ def _dihedral(order, order_cap):
 
 
 def _elementary_abelian(p, k, order_cap):
+    # before the primality test: EA:p:0 has degree 0, so no guard stops a huge p
+    if k < 1:
+        raise InvalidSpec("rank must be at least 1")
     if not is_prime(p):
         raise InvalidSpec(f"{p} is not prime")
     gens = [
@@ -264,7 +267,7 @@ def parse_group_spec(text):
         return GroupSpec(kind, params)
     for kind, f in _FAMILIES.items():
         digits = text[len(f.prefix) :]
-        if text.startswith(f.prefix) and digits.isdigit():
+        if text.startswith(f.prefix) and digits.isdecimal():
             return GroupSpec(kind, (int(digits),))
     raise InvalidSpec(f"cannot parse group spec {text!r}")
 
@@ -358,7 +361,7 @@ def parse_permutation_spec(text):
             continue
         if degree is None:
             parts = line.split()
-            if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdigit():
+            if len(parts) != 2 or parts[0] != "degree" or not parts[1].isdecimal():
                 raise ParseError('first line must be "degree N"', line=lineno, column=1)
             degree = int(parts[1])
             continue

@@ -17,7 +17,7 @@ from math import isqrt, lcm
 
 from .cyclo import Cyclotomic, _prime_factors, cyc_dot, is_prime
 from .errors import InternalInconsistency
-from .group import conjugacy_classes, derived_subset
+from .group import conjugacy_classes, derived_subset, kept_on
 
 # ----------------------------------------------------------------------
 # class multiplication coefficients
@@ -233,18 +233,21 @@ class CharacterTable:
         self.exponent = exponent
         self.values = values
         self.degrees = degrees
-        self._conj_values = None
 
     @property
     def k(self):
         return len(self.degrees)
 
+    @kept_on("_conj_values")
     def conj_values(self):
-        if self._conj_values is None:
-            self._conj_values = tuple(
-                tuple(v.conjugate() for v in row) for row in self.values
-            )
-        return self._conj_values
+        """Complex conjugates of `values`.  Each distinct value is conjugated
+        once, and a conjugate that is itself a table value is that object."""
+        shared = {(v.conductor, v.coeffs): v for row in self.values for v in row}
+        conj = {}
+        for key, v in shared.items():
+            c = v.conjugate()
+            conj[key] = shared.get((c.conductor, c.coeffs), c)
+        return tuple(tuple(conj[v.conductor, v.coeffs] for v in row) for row in self.values)
 
     def stats(self):
         return TableStats(T=sum(self.degrees), k=self.k, b=max(self.degrees))
@@ -275,20 +278,22 @@ def table_stats(table):
     return table.stats()
 
 
+@kept_on("_chartable")
 def character_table(G):
-    """Exact character table of G (cached on the group)."""
-    if G._chartable is not None:
-        return G._chartable
+    """Exact character table of G (`kept_on` the group).  Equal values are
+    one object: one per (conductor, coefficients) in the table."""
     cd = conjugacy_classes(G)
     e = lcm(*cd.element_orders)
     p = dixon_prime(e, G.order)
-    omega_vectors = _split_eigenspaces(cd, p)
-    rows = [_lift_row(cd, v, e, p) for v in omega_vectors]
-    rows = _order_rows(rows, e)
+    shared = {}
+    rows = [
+        [shared.setdefault((v.conductor, v.coeffs), v) for v in _lift_row(cd, w, e, p)]
+        for w in _split_eigenspaces(cd, p)
+    ]
+    rows = _order_rows(rows, e, shared)
     degrees = tuple(r[0].to_rational_integer() for r in rows)
     table = CharacterTable(G, cd, e, tuple(tuple(r) for r in rows), degrees)
     _verify_table(table)
-    G._chartable = table
     return table
 
 
@@ -374,7 +379,9 @@ def _lift_row(cd, omega, e, p):
     return row
 
 
-def _order_rows(rows, e):
+def _order_rows(rows, e, shared):
+    """Trivial row first, then by degree and the values lifted to exponent e.
+    Each distinct value in `shared` is lifted once, however often it occurs."""
     trivial = None
     rest = []
     for r in rows:
@@ -384,9 +391,7 @@ def _order_rows(rows, e):
             rest.append(r)
     if trivial is None:
         raise InternalInconsistency("trivial character missing")
-    # each distinct value is lifted to the exponent once, however often it occurs
-    distinct = {(v.conductor, v.coeffs): v for r in rest for v in r}
-    key = {c: v.key_at(e) for c, v in distinct.items()}
+    key = {c: v.key_at(e) for c, v in shared.items()}
     rest.sort(key=lambda r: (r[0].to_rational_integer(), [key[v.conductor, v.coeffs] for v in r]))
     return [trivial] + rest
 

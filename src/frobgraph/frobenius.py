@@ -19,6 +19,7 @@ from .group import (
     conjugacy_classes,
     conjugations,
     core,
+    kept_on,
     normalizer,
     orbit,
     orbit_partition,
@@ -93,10 +94,9 @@ class InducedGram:
         return self.entries[ij[0]][ij[1]]
 
 
+@kept_on("_fmatrix")
 def frobenius_matrix(G, H):
-    """F(G, H), computed exactly and cached on the subgroup object."""
-    if H._fmatrix is not None:
-        return H._fmatrix
+    """F(G, H), computed exactly and `kept_on` the subgroup object."""
     tG = character_table(G)
     HG = H.as_group()
     tH = character_table(HG)
@@ -125,7 +125,6 @@ def frobenius_matrix(G, H):
     for c in range(kG):
         if sum(entries[r][c] * tH.degrees[r] for r in range(kH)) != tG.degrees[c]:
             raise InternalInconsistency(f"degree bookkeeping failed in column {c}")
-    H._fmatrix = M
     return M
 
 
@@ -164,29 +163,26 @@ def double_coset_reps(G, H):
     return [points[0] for points in orbit_partition(G.order, steps)]
 
 
+@kept_on("_hclass_of")
 def _hclass_of(H):
     """Map from parent element index to H-class index, for elements of H."""
-    if H._hclass_of is None:
-        cd = conjugacy_classes(H.as_group())
-        H._hclass_of = dict(zip(H.sorted_indices(), cd.class_of_index))
-    return H._hclass_of
+    return dict(zip(H.sorted_indices(), conjugacy_classes(H.as_group()).class_of_index))
 
 
+@kept_on("_mackey")
 def _mackey_intersections(G, H):
     """Per double-coset representative, the pairs (x, g x g^-1) over H^g n H,
-    already mapped to H-class indices (cached on the subgroup)."""
-    if H._mackey is None:
-        hclass = _hclass_of(H)
-        data = []
-        for g in double_coset_reps(G, H):
-            members = []
-            for x in H.indices:
-                y = G.conj(g, x)
-                if y in H.indices:
-                    members.append((hclass[x], hclass[y]))
-            data.append(members)
-        H._mackey = data
-    return H._mackey
+    already mapped to H-class indices (`kept_on` the subgroup)."""
+    hclass = _hclass_of(H)
+    data = []
+    for g in double_coset_reps(G, H):
+        members = []
+        for x in H.indices:
+            y = G.conj(g, x)
+            if y in H.indices:
+                members.append((hclass[x], hclass[y]))
+        data.append(members)
+    return data
 
 
 def mackey_inner_product(G, H, phi_idx, psi_idx):

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import wraps
 from itertools import combinations
 from operator import attrgetter, itemgetter
 
@@ -35,13 +36,29 @@ from .perm import Permutation, format_cycles
 _TABLE_MAX_ORDER = 2048
 
 
+def kept_on(attr):
+    """Decorator: f(..., x) is computed once per object x, its last argument,
+    and kept in x.__dict__ under attr.  Membership, not None, marks a kept
+    result, so a falsy one is kept too; the result lives as long as x."""
+    def decorate(f):
+        @wraps(f)
+        def kept(*args):
+            d = args[-1].__dict__
+            if attr not in d:
+                d[attr] = f(*args)
+            return d[attr]
+        return kept
+    return decorate
+
+
 class PermGroup:
     """Group of permutations of {0..degree-1}.
 
     Elements are addressed by their index in the sorted element tuple; all
     arithmetic helpers (`mult`, `inverse`, `conj`) work on indices.  Instances
-    are immutable after construction and cache derived data (conjugacy
-    classes, character table, derived subgroup) on first use.
+    are immutable after construction; derived data (conjugacy classes,
+    character table, derived subgroup) is computed on first use and kept on
+    the group by `kept_on`.
 
     Up to order 2048 the arithmetic reads a table of n uint16 rows (2 n^2
     bytes) built on first use.  Larger groups compose image tuples with
@@ -65,11 +82,6 @@ class PermGroup:
         self._images = None
         self._inverses = None
         self._conj_maps = {}
-        self._classdata = None
-        self._chartable = None
-        self._derived = None
-        self._solvable = None
-        self._subgroup_classes = None
         if self.order > _TABLE_MAX_ORDER:
             imgs = self._images = [p.images for p in self.elements]
             index = self.index
@@ -292,36 +304,26 @@ class Subgroup:
         if generator_indices is None:
             generator_indices = _greedy_generators(parent, self.indices)
         self.generator_indices = tuple(generator_indices)
-        self._as_group = None
-        self._sorted = None
-        self._fmatrix = None
-        self._hclass_of = None
-        self._mackey = None
-        self._normalizer = None
 
     @property
     def generators(self):
         return tuple(self.parent.elements[i] for i in self.generator_indices)
 
+    @kept_on("_sorted")
     def sorted_indices(self):
-        if self._sorted is None:
-            self._sorted = tuple(sorted(self.indices))
-        return self._sorted
+        return tuple(sorted(self.indices))
 
     def permutations(self):
         return tuple(self.parent.elements[i] for i in self.sorted_indices())
 
+    @kept_on("_as_group")
     def as_group(self):
         """The subgroup as a standalone PermGroup of the same degree.
 
         Both sides sort by image tuple, so element i of the result is parent
         element sorted_indices()[i].
         """
-        if self._as_group is None:
-            self._as_group = PermGroup(
-                self.parent.degree, self.generators, self.permutations()
-            )
-        return self._as_group
+        return PermGroup(self.parent.degree, self.generators, self.permutations())
 
     def __contains__(self, idx):
         return idx in self.indices
@@ -393,10 +395,9 @@ class ClassData:
         return self.class_of_index[x]
 
 
+@kept_on("_classdata")
 def conjugacy_classes(G):
-    """Orbit partition of G under conjugation (cached on the group)."""
-    if G._classdata is not None:
-        return G._classdata
+    """Orbit partition of G under conjugation (`kept_on` the group)."""
     n = G.order
     orbits = orbit_partition(n, [G.conj_map(g).__getitem__ for g in G.generator_indices])
     reps = [o[0] for o in orbits]
@@ -419,7 +420,7 @@ def conjugacy_classes(G):
             x = G.mult(x, r)
         pmap.append(tuple(row))
     orders = tuple(map(len, pmap))
-    cd = ClassData(
+    return ClassData(
         group=G,
         rep_indices=tuple(reps),
         sizes=sizes,
@@ -429,8 +430,6 @@ def conjugacy_classes(G):
         element_orders=orders,
         power_map=tuple(pmap),
     )
-    G._classdata = cd
-    return cd
 
 
 # ----------------------------------------------------------------------
@@ -533,13 +532,10 @@ def conjugators(G, xs, target):
             yield g
 
 
+@kept_on("_normalizer")
 def normalizer(G, H):
-    """N_G(H): the elements conjugating H's generators into H (cached)."""
-    if H._normalizer is None:
-        H._normalizer = Subgroup(
-            G, frozenset(conjugators(G, H.generator_indices, H.indices))
-        )
-    return H._normalizer
+    """N_G(H): the elements conjugating H's generators into H (`kept_on` H)."""
+    return Subgroup(G, frozenset(conjugators(G, H.generator_indices, H.indices)))
 
 
 def _commutator(G, a, b):
@@ -563,12 +559,10 @@ def derived_subset(G, gen_indices):
     return frozenset(orbit(0, steps))
 
 
+@kept_on("_derived")
 def derived_subgroup(G):
-    """Commutator subgroup of G (cached)."""
-    if G._derived is None:
-        members = derived_subset(G, G.generator_indices)
-        G._derived = Subgroup(G, members)
-    return G._derived
+    """Commutator subgroup of G (`kept_on` the group)."""
+    return Subgroup(G, derived_subset(G, G.generator_indices))
 
 
 def derived_subgroup_of(H):
@@ -577,22 +571,17 @@ def derived_subgroup_of(H):
     return Subgroup(H.parent, members)
 
 
+@kept_on("_solvable")
 def is_solvable(G):
-    """Derived series terminates at the trivial subgroup."""
-    if G._solvable is None:
-        gens = G.generator_indices
-        size = G.order
-        while True:
-            D = derived_subset(G, gens)
-            if len(D) == 1:
-                G._solvable = True
-                break
-            if len(D) == size:
-                G._solvable = False
-                break
-            size = len(D)
-            gens = _greedy_generators(G, D)
-    return G._solvable
+    """Derived series terminates at the trivial subgroup (`kept_on` the group)."""
+    gens = G.generator_indices
+    size = G.order
+    while True:
+        D = derived_subset(G, gens)
+        if len(D) in (1, size):
+            return len(D) == 1
+        size = len(D)
+        gens = _greedy_generators(G, D)
 
 
 def subgroups_conjugate(G, H1, H2):

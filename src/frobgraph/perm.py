@@ -167,7 +167,7 @@ def parse_cycles(text, degree=None, line=None):
             cyc = []
             for part in body.split(","):
                 part = part.strip()
-                if not part.isdigit():
+                if not part.isdecimal():
                     raise ParseError(f"bad point {part!r}", line=line, column=i + 1)
                 pt = int(part) - 1
                 if pt < 0:

@@ -25,6 +25,7 @@ from .group import (
     conjugators,
     derived_subset,
     is_solvable,
+    kept_on,
     normalizer,
     orbit,
     orbit_partition,
@@ -155,11 +156,10 @@ class _Enumerator:
                     self.register(members, (x, y))
 
 
+@kept_on("_subgroup_classes")
 def enumerate_subgroup_classes(G):
-    """Complete list of subgroup classes up to conjugacy (cached on the group)."""
-    if G._subgroup_classes is None:
-        G._subgroup_classes = _Enumerator(G).run()
-    return G._subgroup_classes
+    """Complete list of subgroup classes up to conjugacy (`kept_on` the group)."""
+    return _Enumerator(G).run()
 
 
 def prime_order_subgroup_classes(G):

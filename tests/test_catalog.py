@@ -333,6 +333,10 @@ def test_file_spec_reads_the_file_again(tmp_path):
     ("D30000", DeskScaleExceeded, "D30000 acts on 15000 points, more than the order cap 10080"),
     ("AGL1:1000000000000000003", DeskScaleExceeded,
      "AGL1:1000000000000000003 acts on 1000000000000000003 points, more than the order cap 10080"),
+    ("S\u00b2", InvalidSpec, "cannot parse group spec 'S\u00b2'"),
+    ("EA:2:0", InvalidSpec, "rank must be at least 1"),
+    ("EA:2:-1", InvalidSpec, "rank must be at least 1"),
+    ("EA:1000000000000000003:0", InvalidSpec, "rank must be at least 1"),
 ])
 def test_spec_error_type_and_message(text, error, message):
     with pytest.raises(FrobgraphError) as err:

@@ -211,3 +211,20 @@ def test_prime_order_does_not_enumerate(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "analyze", "--group", "A4", "--prime-order")
     assert code == 0
     assert out.count("subgroup class") == 2
+
+
+# "²" (superscript two) passes str.isdigit but not int()
+@pytest.mark.parametrize("argv, text, message", [
+    (["--seed-file", "{f}", "--prime-order"], "degree ²\n(1,2)\n", 'first line must be "degree N"'),
+    (["--seed-file", "{f}", "--prime-order"], "degree 3\n(1,²)\n", "bad point '²'"),
+    (["--group", "file:{f}", "--prime-order"], "degree 3\n(1,²)\n", "bad point '²'"),
+    (["--group", "S3", "--subgroup", "(1,²)"], "", "bad point '²'"),
+])
+def test_unicode_digit_is_a_parse_error(tmp_path, capsys, argv, text, message):
+    f = tmp_path / "grp.txt"
+    f.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", *(a.format(f=f) for a in argv))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: " + message)
