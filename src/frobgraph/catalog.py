@@ -130,7 +130,9 @@ def _affine_group(q, d, order_cap):
 
 
 def _affine_subgroup(q, d, order_cap):
-    if d < 1 or (q - 1) % d:
+    if d < 1:
+        raise InvalidSpec(f"index parameter {d} must be a positive divisor of {q - 1}")
+    if (q - 1) % d:
         raise InvalidSpec(f"index parameter {d} must divide {q - 1}")
     return _affine_group(q, d, order_cap)
 

@@ -1,22 +1,26 @@
 """Finite permutation groups with explicit element enumeration.
 
 Everything is desk scale: a group is a sorted tuple of all its elements plus
-an index for O(1) membership, and the expensive operations (normalizers,
-cores, conjugacy of subgroups) are element filters.  The filter "every g with
-g x g^-1 in T for each x in X" is `conjugators`; normalizers, centralizers
-and subgroup conjugacy all go through it.  Index 0 is always the identity
-because image tuples sort lexicographically.
+a dict for O(1) membership (`position`), and the expensive operations
+(normalizers, cores, conjugacy of subgroups) are element filters.  The
+filter "every g with g x g^-1 in T for each x in X" is `conjugators`;
+normalizers, centralizers and subgroup conjugacy all go through it.  Index 0
+is always the identity because image tuples sort lexicographically.
 
 Index arithmetic has two paths, chosen once per group from its order.  Up to
 order _TABLE_MAX_ORDER (2048) a right-multiplication table of uint16 rows is
 built on first use, 2 n^2 bytes (8.4 MB at the cutoff), and products,
-inverses and conjugates are lookups.  Larger groups compose image tuples
-with `operator.itemgetter`, so the per-point work runs in C; their inverses
-are an array built on first use, as on the table path.  `conj_map` is one
+inverses and conjugates are lookups.  Larger groups look products up by base
+image.  A base is a few points whose images tell the elements apart (3 of
+the q + 1 points for PSL(2, q)); one dict maps each element's base image to
+its index.  A product's base image is read from the factors' images with
+`operator.itemgetter`, a handful of points in C rather than all `degree`
+of them, and there is no dict keyed by full image tuples.  Inverses are an
+array built on first use, as on the table path.  `conj_map` is one
 expression over a whole right-multiplication row on both paths.  Both paths
-return the same indices.  Nothing outside this module sees the table:
-callers use `mult`, `inverse`, `conj`, `conj_map` and the step helpers
-`right_multiplications` and `conjugations`.
+return the same indices.  Nothing outside this module sees the table or the
+base: callers use `mult`, `inverse`, `conj`, `conj_map`, `position` and the
+step helpers `right_multiplications` and `conjugations`.
 """
 
 from __future__ import annotations
@@ -61,31 +65,40 @@ class PermGroup:
     the group by `kept_on`.
 
     Up to order 2048 the arithmetic reads a table of n uint16 rows (2 n^2
-    bytes) built on first use.  Larger groups compose image tuples with
-    `itemgetter` and look the result up in `index`; their `inverse` reads an
-    array built on first use.  `conj_map` is shared by both paths.
+    bytes) built on first use, and `index` maps image tuples to indices.
+    Larger groups have a `base`, points whose images tell the elements
+    apart: a product's base image is composed with `itemgetter` and looked
+    up in a dict keyed by base images; their `inverse` reads an array built
+    on first use.  `position` finds an element from its full images on both
+    paths, and `conj_map` is shared by both paths.
     """
 
     def __init__(self, degree, generators, elements):
         self.degree = degree
         self.elements = tuple(sorted(elements, key=attrgetter("images")))
         self.order = len(self.elements)
-        self.index = {p.images: i for i, p in enumerate(self.elements)}
         if not self.elements or not self.elements[0].is_identity():
             raise InternalInconsistency("identity missing from element list")
-        gens = tuple(generators)
-        if not gens and self.order > 1:
-            raise InternalInconsistency("nontrivial group needs generators")
-        self.generators = gens if gens else (Permutation.identity(degree),)
-        self.generator_indices = tuple(self.index[g.images] for g in self.generators)
         self._rows = None
         self._images = None
         self._inverses = None
         self._conj_maps = {}
-        if self.order > _TABLE_MAX_ORDER:
+        if self.order <= _TABLE_MAX_ORDER:
+            self.index = {p.images: i for i, p in enumerate(self.elements)}
+        else:
             imgs = self._images = [p.images for p in self.elements]
-            index = self.index
-            self.mult = lambda a, b: index[itemgetter(*imgs[b])(imgs[a])]
+            self.base = _base(imgs)
+            self._key = itemgetter(*self.base)
+            keys = self._keys = list(map(self._key, imgs))
+            at = self._at = dict(zip(keys, range(self.order)))
+            self.mult = lambda a, b: at[itemgetter(*keys[b])(imgs[a])]
+        gens = tuple(generators)
+        if not gens and self.order > 1:
+            raise InternalInconsistency("nontrivial group needs generators")
+        self.generators = gens if gens else (Permutation.identity(degree),)
+        self.generator_indices = tuple(self.position(g.images) for g in self.generators)
+        if None in self.generator_indices:
+            raise InternalInconsistency("generator missing from element list")
 
     # ------------------------------------------------------------------
     # index arithmetic
@@ -122,15 +135,14 @@ class PermGroup:
                 self.conj = lambda g, x: rows[inv[g]][rows[x][g]]
             else:
                 imgs = self._images
-                index = self.index
-                points = range(self.degree)
-                inv = array(
-                    "H",
-                    [index[tuple(sorted(points, key=im.__getitem__))] for im in imgs],
-                )
-                # g x g^-1: compose x into g, then g^-1 into that
-                self.conj = lambda g, x: index[
-                    itemgetter(*imgs[inv[g]])(itemgetter(*imgs[x])(imgs[g]))
+                keys = self._keys
+                at = self._at
+                base = self.base
+                # g^-1 sends b to the point g sends to b
+                inv = array("H", [at[tuple(map(im.index, base))] for im in imgs])
+                # base images of g x g^-1: those of x g^-1, read through x, then g
+                self.conj = lambda g, x: at[
+                    itemgetter(*itemgetter(*keys[inv[g]])(imgs[x]))(imgs[g])
                 ]
             self._inverses = inv
             self.inverse = inv.__getitem__
@@ -142,8 +154,8 @@ class PermGroup:
         imgs = self._images
         if imgs is None:
             return self._table()[b]
-        right = itemgetter(*imgs[b])
-        return array("H", map(self.index.__getitem__, map(right, imgs)))
+        right = itemgetter(*self._keys[b])
+        return array("H", map(self._at.__getitem__, map(right, imgs)))
 
     def conj_map(self, g):
         """Map x -> g x g^-1 as a sequence indexed by x; cached for generators."""
@@ -157,8 +169,22 @@ class PermGroup:
                 self._conj_maps[g] = cm
         return cm
 
+    def position(self, images):
+        """Index of the element with these images, or None if it is not in G.
+
+        Above the cutoff the base image names the only candidate, and the
+        full tuple must match it.
+        """
+        imgs = self._images
+        if imgs is None:
+            return self.index.get(images)
+        if len(images) != self.degree:
+            return None
+        i = self._at.get(self._key(images))
+        return i if i is not None and imgs[i] == images else None
+
     def power(self, a, k):
-        return self.index[(self.elements[a] ** k).images]
+        return self.position((self.elements[a] ** k).images)
 
     def element_order(self, a):
         return self.elements[a].order()
@@ -175,10 +201,12 @@ class PermGroup:
 
     def subgroup(self, perms):
         """Subgroup generated by the given permutations, which must lie in G."""
+        gen_idx = []
         for p in perms:
-            if p.images not in self.index:
+            i = self.position(p.images)
+            if i is None:
                 raise InvalidSpec(f"generator {format_cycles(p)} is not in the group")
-        gen_idx = tuple(self.index[p.images] for p in perms)
+            gen_idx.append(i)
         members = closure_indices(self, gen_idx)
         return Subgroup(self, members, gen_idx)
 
@@ -196,11 +224,34 @@ def group_from_generators(degree, generators, order_cap=None, degree_cap=None):
     for g in gens:
         if g.degree != degree:
             raise DeskScaleExceeded(f"generator degree {g.degree} != {degree}")
-    steps = [lambda p, g=g.images: tuple(map(g.__getitem__, p)) for g in gens]
+    # p -> p g; itemgetter of one point returns an int, and on one point every
+    # permutation is the identity, so degree 1 needs no steps
+    steps = [itemgetter(*g.images) for g in gens] if degree > 1 else []
     images = orbit(tuple(range(degree)), steps, order_cap)
     if images is None:
         raise DeskScaleExceeded(f"group closure exceeded order cap {order_cap}")
     return PermGroup(degree, gens, map(Permutation.trusted, images))
+
+
+def _base(imgs):
+    """Points whose images tell the elements (image tuples) apart.
+
+    A point is kept when some element fixing every point kept so far moves
+    it; once only the identity fixes them all, an element is known by its
+    images of the kept points.  At least two points, so that an itemgetter
+    over them returns a tuple.
+    """
+    base = []
+    fixing = imgs
+    for x in range(len(imgs[0])):
+        if len(fixing) == 1:
+            break
+        kept = [im for im in fixing if im[x] == x]
+        if len(kept) < len(fixing):
+            base.append(x)
+            fixing = kept
+    base += [x for x in range(2) if x not in base][: 2 - len(base)]
+    return tuple(base)
 
 
 def _right_multiplication_rows(G):
@@ -247,9 +298,10 @@ def right_multiplications(G, gen_indices):
     if imgs is None:
         rows = G._table()
         return [rows[g].__getitem__ for g in gen_indices]
-    index = G.index
+    at = G._at
+    keys = G._keys
     return [
-        lambda x, right=itemgetter(*imgs[g]): index[right(imgs[x])]
+        lambda x, right=itemgetter(*keys[g]): at[right(imgs[x])]
         for g in gen_indices
     ]
 
@@ -391,7 +443,7 @@ class ClassData:
 
     def class_of(self, x):
         if isinstance(x, Permutation):
-            x = self.group.index[x.images]
+            x = self.group.position(x.images)
         return self.class_of_index[x]
 
 

@@ -337,6 +337,8 @@ def test_file_spec_reads_the_file_again(tmp_path):
     ("EA:2:0", InvalidSpec, "rank must be at least 1"),
     ("EA:2:-1", InvalidSpec, "rank must be at least 1"),
     ("EA:1000000000000000003:0", InvalidSpec, "rank must be at least 1"),
+    ("AGL1:9:-2", InvalidSpec, "index parameter -2 must be a positive divisor of 8"),
+    ("AGL1:9:0", InvalidSpec, "index parameter 0 must be a positive divisor of 8"),
 ])
 def test_spec_error_type_and_message(text, error, message):
     with pytest.raises(FrobgraphError) as err:

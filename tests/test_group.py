@@ -3,7 +3,7 @@ import pytest
 from helpers import brute_conjugacy_partition, brute_core, group, subgroup_of_order
 
 from frobgraph.catalog import construct, parse_group_spec
-from frobgraph.errors import DeskScaleExceeded, InternalInconsistency
+from frobgraph.errors import DeskScaleExceeded, InternalInconsistency, InvalidSpec
 from frobgraph.group import (
     closure_indices,
     conjugacy_classes,
@@ -331,14 +331,38 @@ def test_table_agrees_with_permutation_products(name):
     assert all(row.typecode == "H" and len(row) == n for row in rows)
 
 
-@pytest.mark.parametrize("name, classes", [("S7", 15), ("PSL2:19", 12)], ids=["S7", "PSL2:19"])
+@pytest.mark.parametrize(
+    "name, classes",
+    [("S7", 15), ("PSL2:19", 12), ("SL2:13", 17)],
+    ids=["S7", "PSL2:19", "SL2:13"],
+)
 def test_no_table_above_the_cutoff(name, classes):
     G = group(name)
     n = G.order
     assert n > 2048
     assert G.elements == tuple(sorted(G.elements))
-    step = 997  # coprime to 5040 and 3420, so the pairs spread over the group
+    step = 997  # coprime to 5040, 3420 and 2184, so the pairs spread over the group
     _check_arithmetic(G, [(a * step % n, (a * a + 1) * step % n) for a in range(60)])
     assert len(closure_indices(G, (1, n - 1))) > 1
     assert len(conjugacy_classes(G)) == classes
     assert G._rows is None
+
+
+def test_base_of_sl2_13_is_not_a_prefix():
+    # the stabilizer of the vector (0, 1) fixes (0, k) for every k, so the
+    # next base point is (1, 0), point 12
+    assert group("SL2:13").base == (0, 12)
+
+
+def test_agreeing_on_the_base_is_not_membership():
+    G = group("PSL2:19")
+    assert G.order > 2048 and not {3, 4} & set(G.base)
+    images = list(G.elements[5].images)
+    images[3], images[4] = images[4], images[3]
+    p = Permutation(images)
+    assert G._key(p.images) == G._key(G.elements[5].images)
+    assert G.position(p.images) is None
+    assert G.position(G.elements[5].images) == 5
+    assert G.position(G.elements[5].images[:-1]) is None
+    with pytest.raises(InvalidSpec, match="is not in the group"):
+        G.subgroup([p])

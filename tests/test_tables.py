@@ -5,6 +5,8 @@ groups with a nontrivial rich subgroup of index at most 45 (restricted to
 the cataloged constructions), and the minimal-with-a-rich-subgroup rows.
 """
 
+import pytest
+
 from helpers import group
 
 from frobgraph.frobenius import (
@@ -130,6 +132,19 @@ def test_sl2_family_small_orders():
     assert not has_diameter_three_subgroup(group("SL2:9")).ok
     v = has_diameter_three_subgroup(group("SL2:11"))
     assert v.ok and v.witness.order == 3
+    # above the 2048 table cutoff
+    for q in (13, 16, 17, 19):
+        v = has_diameter_three_subgroup(group(f"SL2:{q}"))
+        assert v.ok and v.witness.order == (2 if q % 2 == 0 else 3), q
+
+
+@pytest.mark.parametrize(
+    "name", ["PSL2:17", "A7", "PSL2:19", "PSL2:16", "PSL2:23", "PSL2:25", "PSL2:27"]
+)
+def test_diameter_three_above_the_table_cutoff(name):
+    # orders 2448 to 9828, all of them above the 2048 table cutoff
+    v = has_diameter_three_subgroup(group(name))
+    assert v.ok and v.witness.order == 2
 
 
 def test_agl1_343_19_has_diameter_three_despite_three_kernel_plane_classes():
