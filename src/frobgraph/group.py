@@ -21,10 +21,18 @@ expression over a whole right-multiplication row on both paths.  Both paths
 return the same indices.  Nothing outside this module sees the table or the
 base: callers use `mult`, `inverse`, `conj`, `conj_map`, `position` and the
 step helpers `right_multiplications` and `conjugations`.
+
+Whole rows are composed in C.  `_gather(src, idx)` is one
+`operator.itemgetter(*idx)` applied to a tuple; table rows and conjugation
+maps are gathered so and packed back into uint16 arrays by one
+`struct.Struct` per group, and `coset_action` gathers its columns with one
+itemgetter per generator.  Stored rows stay `array("H")`: tuples of ints
+would take four times the memory.
 """
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass
 from functools import wraps
@@ -83,6 +91,8 @@ class PermGroup:
         self._images = None
         self._inverses = None
         self._conj_maps = {}
+        # packs a gathered tuple of n indices into the bytes of a uint16 row
+        self._packer = struct.Struct(f"{self.order}H")
         if self.order <= _TABLE_MAX_ORDER:
             self.index = {p.images: i for i, p in enumerate(self.elements)}
         else:
@@ -161,10 +171,11 @@ class PermGroup:
         """Map x -> g x g^-1 as a sequence indexed by x; cached for generators."""
         cm = self._conj_maps.get(g)
         if cm is None:
-            right = self._row(self.inverse(g)).__getitem__
-            inv = self._inverses
+            pack, unpack = self._packer.pack, self._packer.unpack
+            right = unpack(self._row(self.inverse(g)))
+            inv = unpack(self._inverses)
             # x -> x^-1 g^-1 -> g x -> g x g^-1
-            cm = array("H", map(right, map(inv.__getitem__, map(right, inv))))
+            cm = array("H", pack(*_gather(right, _gather(inv, _gather(right, inv)))))
             if g in self.generator_indices:
                 self._conj_maps[g] = cm
         return cm
@@ -254,29 +265,40 @@ def _base(imgs):
     return tuple(base)
 
 
+def _gather(src, idx):
+    """The tuple (src[i] for i in idx), gathered in C by one itemgetter.
+
+    An itemgetter over a single index returns the item itself, so a
+    one-entry idx is wrapped by hand.
+    """
+    if len(idx) == 1:
+        return (src[idx[0]],)
+    return itemgetter(*idx)(src)
+
+
 def _right_multiplication_rows(G):
     """rows[b][x] = index of x * b, for every b.
 
     Each generator's row comes from the image tuples; breadth-first search
     from the identity fills the rest, rows[b * g][x] = rows[g][rows[b][x]].
+    Rows are gathered as tuples and packed into uint16 arrays.
     """
     n = G.order
     index = G.index
+    packer = G._packer
     gen_rows = []
     for g in G.generator_indices:
         gi = G.elements[g].images
-        gen_rows.append(
-            array("H", [index[tuple(map(x.images.__getitem__, gi))] for x in G.elements])
-        )
+        gen_rows.append(tuple(index[_gather(x.images, gi)] for x in G.elements))
     rows = [None] * n
     rows[0] = array("H", range(n))
     found = [0]
     for b in found:
-        rb = rows[b]
+        rb = packer.unpack(rows[b])
         for rg in gen_rows:
             c = rg[b]
             if rows[c] is None:
-                rows[c] = array("H", map(rg.__getitem__, rb))
+                rows[c] = array("H", packer.pack(*_gather(rg, rb)))
                 found.append(c)
     if len(found) != n:
         raise InternalInconsistency("generators do not reach every element")
@@ -545,7 +567,9 @@ def coset_action(G, H):
     """
     reps, coset_of = _left_cosets(G, H)
     gens = G.generator_indices
-    rows = [tuple(G._row(g)) for g in gens]
+    # an itemgetter over one index returns a scalar, but a group of order 1
+    # has one coset, so the gathers below never run on it
+    gathers = [itemgetter(*G._row(g)) for g in gens]
     # columns[j][x] is the coset of x t for any t in coset j, so x's image is
     # (columns[j][x] for each j).  The column of coset g t is columns[j] read
     # at x g: one gather per coset, not one product per element and coset.
@@ -553,10 +577,10 @@ def coset_action(G, H):
     columns = [coset_of] + [None] * (len(reps) - 1)
     found = [0]
     for j in found:
-        for g, row in zip(gens, rows):
+        for g, gather in zip(gens, gathers):
             k = columns[j][g]
             if columns[k] is None:
-                columns[k] = tuple(map(columns[j].__getitem__, row))
+                columns[k] = gather(columns[j])
                 found.append(k)
     image = PermGroup(
         len(reps),

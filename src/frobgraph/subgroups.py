@@ -132,8 +132,12 @@ class _Enumerator:
             raise DeskScaleExceeded(
                 "perfect-subgroup seeding is only guaranteed below order 3600"
             )
+        # the largest order registered below: a proper divisor of |G|, at
+        # least 60 and divisible by 12; a closure past it is skipped
+        cap = max((d for d in range(60, G.order // 2 + 1, 12) if G.order % d == 0), default=0)
+        if not cap:
+            return
         cd = conjugacy_classes(G)
-        half = G.order // 2
         for i in range(1, len(cd)):
             x = cd.rep_indices[i]
             cyclic_x = closure_indices(G, (x,))
@@ -144,11 +148,11 @@ class _Enumerator:
                 y = points[0]
                 if y in cyclic_x:
                     continue
-                members = orbit(0, right_multiplications(G, (x, y)), half)
+                members = orbit(0, right_multiplications(G, (x, y)), cap)
                 if members is None:
                     continue
                 n = len(members)
-                if n < 60 or n % 12 or n == G.order:
+                if n < 60 or n % 12:
                     continue
                 if frozenset(members) in self.seen:
                     continue

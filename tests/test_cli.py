@@ -1,5 +1,8 @@
 import json
 import os
+import random
+import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -228,3 +231,78 @@ def test_unicode_digit_is_a_parse_error(tmp_path, capsys, argv, text, message):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: " + message)
+
+
+_FUZZ_SEEDS = [
+    "S3", "S4", "A4", "A5", "C6", "C12", "D8", "Named:D12", "EA:2:3", "EA:3:2",
+    "AGL1:5", "AGL1:7", "AGL1:9:4", "SL2:3", "PSL3:2", "S3xC4", "C2xA4", "Named:G80",
+]
+# the same digit as a fullwidth, Arabic-Indic, NKo or superscript character:
+# int() reads the first three, str.isdecimal rejects the last
+_ODD_DIGITS = [
+    lambda d: chr(0xFF10 + d),
+    lambda d: chr(0x0660 + d),
+    lambda d: chr(0x07C0 + d),
+    lambda d: "⁰¹²³⁴⁵⁶⁷⁸⁹"[d],
+]
+
+
+def _mutate(spec, rng):
+    """spec with two digits swapped, or one number field retyped in other
+    digits, signed, emptied or blown up.
+
+    No digit takes a new value short of a huge number, which the caps
+    refuse: a small changed value can name a valid abelian group such as
+    EA:5:3, whose table takes seconds, which is a cost of the table and not
+    of the parser under test here."""
+    digits = [i for i, c in enumerate(spec) if c.isdigit()]
+    a, b = rng.choice([m.span() for m in re.finditer(r"\d+", spec)])
+    field = spec[a:b]
+    op = rng.randrange(5)
+    if op == 0 and len(digits) > 1:
+        i, j = sorted(rng.sample(digits, 2))
+        return spec[:i] + spec[j] + spec[i + 1:j] + spec[i] + spec[j + 1:]
+    if op <= 1:
+        new = "".join(rng.choice(_ODD_DIGITS)(int(c)) for c in field)
+    elif op == 2:
+        new = rng.choice("-+") + field
+    elif op == 3:
+        new = ""
+    else:
+        new = str(10 ** rng.randrange(6, 40) + rng.randrange(10))
+    return spec[:a] + new + spec[b:]
+
+
+class _Hang(Exception):
+    pass
+
+
+def _raise_hang(signum, frame):
+    raise _Hang
+
+
+def test_mutated_table_specs_answer_or_fail_cleanly(capsys):
+    # every mutant is either a group whose table prints as JSON or one
+    # error line with exit code 1, within a few seconds
+    rng = random.Random(20261019)
+    mutants = [_mutate(rng.choice(_FUZZ_SEEDS), rng) for _ in range(40)]
+    codes = []
+    previous = signal.signal(signal.SIGALRM, _raise_hang)
+    try:
+        for spec in mutants:
+            signal.setitimer(signal.ITIMER_REAL, 3)
+            try:
+                code, out, err = run_cli(capsys, "table", f"--group={spec}", "--format", "json")
+            except _Hang:
+                pytest.fail(f"table --group {spec!r} ran past 3 s")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            if code == 0:
+                assert json.loads(out)["order"] >= 1, spec
+            else:
+                assert code == 1 and out == "", spec
+                assert len(err.splitlines()) == 1 and err.startswith("error: "), spec
+            codes.append(code)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert 0 in codes and 1 in codes

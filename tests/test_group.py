@@ -140,6 +140,14 @@ def test_coset_action_whole_and_trivial():
     assert act.kernel.order == 1
 
 
+@pytest.mark.parametrize("name", ["C1", "C2"])
+def test_coset_action_on_the_elements_of_a_tiny_group(name):
+    G = group(name)
+    act = coset_action(G, G.trivial_subgroup())
+    assert act.image.order == G.order and act.image.degree == G.order
+    assert act.kernel.order == 1
+
+
 def test_coset_action_a4_c2():
     A4 = group("A4")
     C2 = subgroup_of_order(A4, 2)
@@ -320,15 +328,32 @@ def _check_arithmetic(G, pairs):
         assert list(G.conj_map(a)) == [G.conj(a, x) for x in range(G.order)]
 
 
-@pytest.mark.parametrize("name", ["A5", "S4", "AGL1:9:4"])
+def _assert_uint16_rows(G):
+    n = G.order
+    rows = G._rows
+    assert len(rows) == n
+    assert all(row.typecode == "H" and len(row) == n for row in rows)
+    assert all(G.conj_map(g).typecode == "H" for g in G.generator_indices)
+
+
+# C1 reaches the one-item gathers (an itemgetter over one index returns the
+# item, not a tuple), C2 the two-item ones
+@pytest.mark.parametrize("name", ["C1", "C2", "A5", "S4", "AGL1:9:4"])
 def test_table_agrees_with_permutation_products(name):
     G = group(name)
     n = G.order
     assert G.elements == tuple(sorted(G.elements))
     _check_arithmetic(G, [(a, b) for a in range(n) for b in range(n)])
-    rows = G._rows
-    assert len(rows) == n
-    assert all(row.typecode == "H" and len(row) == n for row in rows)
+    _assert_uint16_rows(G)
+
+
+def test_table_of_a_five_generator_group():
+    G = group("AGL1:16")
+    n = G.order
+    assert len(G.generator_indices) == 5
+    step = 97  # coprime to 240, so the pairs spread over the group
+    _check_arithmetic(G, [(a * step % n, (a * a + 1) * step % n) for a in range(60)])
+    _assert_uint16_rows(G)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from helpers import group
 
-from frobgraph.group import normalizer
+from frobgraph.catalog import SCAN_SPECS, construct, expected_order
+from frobgraph.group import closure_indices, normalizer
 from frobgraph.subgroups import (
     classify_subgroups,
     enumerate_subgroup_classes,
@@ -46,8 +47,6 @@ def test_total_subgroup_counts():
     # closures of all element pairs enumerate the full subgroup set
     for name in ("A4", "S4"):
         G = group(name)
-        from frobgraph.group import closure_indices
-
         brute = {closure_indices(G, (x, y)) for x in range(G.order) for y in range(G.order)}
         brute.add(frozenset((0,)))
         total = sum(c.length for c in enumerate_subgroup_classes(G))
@@ -145,3 +144,36 @@ def test_report_json_shape():
     d = classify_subgroups(group("A4")).to_json_dict()
     assert d["n"] == 5 and d["g"] == 1
     assert all({"order", "length", "rich", "diameter_three", "depth"} <= set(c) for c in d["classes"])
+
+
+def _subgroups_by_cyclic_joins(G):
+    """Every subgroup of G, each with a generator tuple, by Neubüser's cyclic
+    extension method (Numer. Math. 2, 1960): every subgroup is a join of
+    cyclic subgroups, so closing the cyclic subgroups under "join with one
+    more cyclic subgroup" reaches them all.  Shares only closure_indices
+    with the enumerator."""
+    cyclic = {}
+    for x in range(G.order):
+        cyclic.setdefault(closure_indices(G, (x,)), x)
+    found = {C: (x,) for C, x in cyclic.items()}
+    todo = list(found)
+    for H in todo:
+        gens = found[H]
+        for x in cyclic.values():
+            if x not in H:
+                K = closure_indices(G, gens + (x,))
+                if K not in found:
+                    found[K] = gens + (x,)
+                    todo.append(K)
+    return found
+
+
+def test_cyclic_joins_count_every_subgroup():
+    specs = [s for s in SCAN_SPECS if expected_order(s) <= 200]
+    assert len(specs) >= 20
+    for spec in specs:
+        G = construct(spec)
+        found = _subgroups_by_cyclic_joins(G)
+        assert all(closure_indices(G, gens) == K for K, gens in found.items())
+        total = sum(c.length for c in enumerate_subgroup_classes(G))
+        assert len(found) == total, spec
