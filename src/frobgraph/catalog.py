@@ -252,16 +252,21 @@ def parse_group_spec(text):
             parts.append(part)
             i += 1
         if len(parts) > 1:
+            if not all(p.strip() for p in parts):
+                raise InvalidSpec(f"empty factor in product {text!r}")
             return GroupSpec(
                 "DirectProduct", tuple(parse_group_spec(p) for p in parts)
             )
     if text.startswith("Named:"):
         raise InvalidSpec(f"unknown named group {text[6:]!r}")
-    head, _, rest = text.partition(":")
+    head, colon, rest = text.partition(":")
     kinds = [kind for kind, f in _FAMILIES.items() if f.prefix == head + ":"]
     if kinds:
+        fields = rest.split(":") if colon else []
+        if "" in fields:
+            raise InvalidSpec(f"empty parameter in {text!r}")
         try:
-            params = tuple(int(a) for a in rest.split(":") if a)
+            params = tuple(map(int, fields))
         except ValueError:
             raise InvalidSpec(f"bad parameters in {text!r}")
         # AGL1:q and AGL1:q:d share a prefix; the parameter count picks the kind

@@ -1,21 +1,26 @@
 """Exact character tables via finite-field eigenspace splitting.
 
 Pipeline: pick a prime p = 1 (mod exponent) with p > 2*floor(sqrt(|G|)),
-split F_p^k into the common eigenspaces of the class-sum matrices, read the
-central characters off the one-dimensional pieces, recover degrees from the
-orthogonality normalization mod p, and lift each value to Z[zeta] through
-root-of-unity multiplicities.  The bound on p makes every multiplicity and
-degree smaller than p/2, so the lift is unique.  The finished table is
-re-verified exactly before it is returned; nothing downstream ever sees an
-unchecked table.
+split F_p^k into the common eigenspaces of the class-sum matrices (kept as
+sparse rows, mostly zero), read the central characters off the
+one-dimensional pieces, recover degrees from the orthogonality normalization
+mod p, and lift each value to Z[zeta] through root-of-unity multiplicities.
+The bound on p makes every multiplicity and degree smaller than p/2, so the
+lift is unique.  A linear character is read off as one root of unity per
+class and checked to be a homomorphism on the powers of the representative.
+The finished table is re-verified exactly before it is returned (row and
+column orthogonality, each one batch of `cyc_gram`); nothing downstream ever
+sees an unchecked table.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from math import isqrt, lcm
 
-from .cyclo import Cyclotomic, _prime_factors, cyc_dot, is_prime
+from .cyclo import Cyclotomic, _prime_factors, cyc_gram, is_prime
 from .errors import InternalInconsistency
 from .group import conjugacy_classes, derived_subset, kept_on
 
@@ -26,25 +31,25 @@ from .group import conjugacy_classes, derived_subset, kept_on
 def class_multiplication_coefficients(cd, i, j, k):
     """Number of ways x*y = rep_k with x in class i, y in class j."""
     # every count is at most |G|, so the modulus leaves it unchanged
-    return _class_matrix(cd, i, cd.group.order + 1)[j][k]
+    return dict(_class_matrix(cd, i, cd.group.order + 1)[j]).get(k, 0)
 
 
 def _class_matrix(cd, i, p):
-    """Matrix A with A[j][m] = a(i, j, m) reduced mod p.
+    """Sparse rows of A with A[j][m] = a(i, j, m) reduced mod p: row j holds
+    the (m, A[j][m]) pairs with A[j][m] nonzero mod p, m ascending.
 
     The common eigenvectors of these matrices over F_p are the central
     characters: A_i v = omega_i v with v_j = |C_j| chi(g_j) / chi(1).
     """
     G = cd.group
-    k = len(cd)
-    rows = [[0] * k for _ in range(k)]
-    inv = G.inverse
-    mult = G.mult
-    cls = cd.class_of_index
+    cls = cd.class_of_index.__getitem__
+    invs = [G.inverse(x) for x in cd.members[i]]
+    rows = [[] for _ in range(len(cd))]
     for m, t in enumerate(cd.rep_indices):
-        for x in cd.members[i]:
-            rows[cls[mult(inv(x), t)]][m] += 1
-    return [[v % p for v in row] for row in rows]
+        for j, c in Counter(map(cls, map(G.mult, invs, repeat(t)))).items():
+            if c % p:
+                rows[j].append((m, c % p))
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -52,7 +57,8 @@ def _class_matrix(cd, i, p):
 
 
 def _mat_vec(A, v, p):
-    return [sum(a * x for a, x in zip(row, v)) % p for row in A]
+    """A v mod p, A in the sparse rows of `_class_matrix`."""
+    return [sum(a * v[m] for m, a in row) % p for row in A]
 
 
 def _solve_coords(basis, pivots, w, p):
@@ -336,7 +342,15 @@ def _split_eigenspaces(cd, p):
 
 
 def _lift_row(cd, omega, e, p):
-    """One character row as exact cyclotomic values from its omega vector."""
+    """One character row as exact cyclotomic values from its omega vector.
+
+    The value at class i (element order n) is sum_j m_j zeta_n^j, with m_j
+    the multiplicity of the eigenvalue zeta_n^j, read off theta(g^t) over
+    t < n by a discrete Fourier transform mod p (n^2 steps).  A linear
+    character (degree 1) is one root of unity: its exponent j is read off
+    theta(g), and theta(g^t) = zeta_n^(jt) is checked for every t, which
+    holds exactly when the transform would give the multiplicities delta_j.
+    """
     G = cd.group
     k = len(cd)
     inv_class = [cd.class_of_index[G.inverse(r)] for r in cd.rep_indices]
@@ -358,16 +372,23 @@ def _lift_row(cd, omega, e, p):
             row.append(Cyclotomic.from_int(d))
             continue
         zn = pow(wp, e // n, p)
-        zn_inv = pow(zn, p - 2, p)
+        zpows = [1] * n  # zpows[u] = zn^u
+        for u in range(1, n):
+            zpows[u] = zpows[u - 1] * zn % p
+        values = [theta[c] for c in cd.power_map[i]]  # theta(g^t), t < n
+        if d == 1:
+            if values[1] not in zpows:
+                raise InternalInconsistency("linear character value is not a root of unity")
+            j = zpows.index(values[1])
+            if any(v != zpows[j * t % n] for t, v in enumerate(values)):
+                raise InternalInconsistency("linear character is not a homomorphism")
+            row.append(Cyclotomic.from_terms(n, {j: 1}))
+            continue
         n_inv = pow(n, p - 2, p)
         terms = {}
         for j in range(n):
-            acc = 0
-            zpow = 1
-            zstep = pow(zn_inv, j, p)
-            for t in range(n):
-                acc = (acc + theta[cd.power_map[i][t]] * zpow) % p
-                zpow = (zpow * zstep) % p
+            # zn^(-jt) = zpows[-jt mod n]
+            acc = sum(v * zpows[-j * t % n] for t, v in enumerate(values))
             m = (acc * n_inv) % p
             if m:
                 if m > d:
@@ -410,18 +431,14 @@ def _verify_table(table):
             raise InternalInconsistency(f"bad degree {d}")
     vals = table.values
     conj = table.conj_values()
-    for r in range(k):
-        for s in range(r, k):
-            total = cyc_dot(zip(vals[r], conj[s], cd.sizes))
-            want = n if r == s else 0
-            if total != want:
-                raise InternalInconsistency(f"row orthogonality failed at ({r},{s})")
-    for j in range(k):
-        for m in range(j, k):
-            total = cyc_dot((vals[r][j], conj[r][m], 1) for r in range(k))
-            want = cd.centralizer_orders[j] if j == m else 0
-            if total != want:
-                raise InternalInconsistency(f"column orthogonality failed at ({j},{m})")
+    upper = [(r, s) for r in range(k) for s in range(r, k)]
+    for (r, s), total in zip(upper, cyc_gram(vals, conj, cd.sizes, upper)):
+        if total != (n if r == s else 0):
+            raise InternalInconsistency(f"row orthogonality failed at ({r},{s})")
+    columns = cyc_gram(tuple(zip(*vals)), tuple(zip(*conj)), (1,) * k, upper)
+    for (j, m), total in zip(upper, columns):
+        if total != (cd.centralizer_orders[j] if j == m else 0):
+            raise InternalInconsistency(f"column orthogonality failed at ({j},{m})")
     # |G| = T*b - [G:G']*(b-1) - sum over middle degrees of d*(b-d),
     # with the abelianization order taken from the derived subgroup.
     st = table.stats()

@@ -4,21 +4,24 @@ A value is a conductor e together with an integer coefficient vector of
 length e giving the coefficients of zeta_e^k.  Vectors are kept reduced
 modulo the e-th cyclotomic polynomial, so only the first phi(e) entries can
 be nonzero and two values with the same conductor are equal iff their
-vectors are equal.  Every sum and product (`cyc_dot`) is reduced once per
-conductor part, mod Phi_m at the lcm m of the part's conductor pair; rational
-parts add as integers, the rest are lifted to L, the lcm of all conductors.
-An L above the conductor cap raises ConductorOverflow before any accumulation.
-Python integers are unbounded, so coefficient overflow cannot occur.
+vectors are equal.  Every sum of products is one pair of `cyc_gram`, which
+computes sum_j w_j a_rj b_sj for many row pairs (r, s) at once (`cyc_dot`,
+and through it + and *, is its one-pair case).  A column rational in every
+row is an integer dot product; the other products are accumulated per pair
+and conductor pair, and reduced mod Phi_m once at the lcm m of that pair;
+rational parts add as integers, the rest are lifted to L, the lcm of every
+conductor in the sum.  An L above the conductor cap raises ConductorOverflow
+before any accumulation.  Python integers are unbounded, so coefficient
+overflow cannot occur.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 from .config import DEFAULT_CONDUCTOR_CAP
 from .errors import ConductorOverflow, NotCoprime, NotRational
@@ -358,32 +361,106 @@ def cyc_sum(values):
 
 def cyc_dot(terms):
     """Exact sum of w * a * b over (a, b, w): Cyclotomic factors, int weights.
+    The one-pair case of `cyc_gram`."""
+    cols = tuple(zip(*terms)) or ((), (), ())
+    return next(cyc_gram(cols[:1], cols[1:2], cols[2], ((0, 0),)))
 
-    The terms of each conductor pair are accumulated unreduced at its lcm m and
-    reduced mod Phi_m once.  A rational part adds as an integer; any other is
-    lifted to L, the lcm of every conductor, where sums stay reduced.
+
+def cyc_gram(rows_a, rows_b, weights, pairs):
+    """Exact sums of weights[j] * rows_a[r][j] * rows_b[s][j] over j: yields
+    one Cyclotomic per (r, s) in pairs, in order.
+
+    A column whose values are rational in every row of both sides is an
+    integer dot product.  In the other columns each row keeps its nonzero
+    (exponent, coefficient) pairs, the `rows_a` side scaled by the weight
+    once; per pair the products of each conductor pair are accumulated
+    unreduced at the lcm m of that pair and reduced mod Phi_m once.  A part
+    that reduces to a rational adds as an integer, any other is lifted to L,
+    the lcm of every conductor in the sum (both rows, zeros included), where
+    sums stay reduced.  The result is the reduced value at L.  An L above the
+    conductor cap raises ConductorOverflow before anything is accumulated.
     """
-    parts = defaultdict(list)
-    for t in terms:
-        parts[t[0].conductor, t[1].conductor].append(t)
-    L = lcm(*{n for pair in parts for n in pair})
-    if L > DEFAULT_CONDUCTOR_CAP:
-        raise ConductorOverflow(f"conductor {L} exceeds cap {DEFAULT_CONDUCTOR_CAP}")
-    total = [0] * L
-    for (na, nb), part in parts.items():
-        m = lcm(na, nb)
-        sa, sb = m // na, m // nb
-        raw = [0] * (2 * m)
-        for a, b, w in part:
-            nzb = b._nonzero or b.nonzero  # the slot first: cheaper than the property
-            for i, ca in a._nonzero or a.nonzero:
+    L_a = [lcm(*(v.conductor for v in row)) for row in rows_a]
+    L_b = [lcm(*(v.conductor for v in row)) for row in rows_b]
+    Ls = [lcm(L_a[r], L_b[s]) for r, s in pairs]
+    for L in Ls:
+        if L > DEFAULT_CONDUCTOR_CAP:
+            raise ConductorOverflow(f"conductor {L} exceeds cap {DEFAULT_CONDUCTOR_CAP}")
+    irrational = [False] * len(weights)
+    for row in (*rows_a, *rows_b):
+        for j, v in enumerate(row):
+            nz = v._nonzero or v.nonzero  # the slot first: cheaper than the property
+            if nz and nz[-1][0]:
+                irrational[j] = True
+    rat = [j for j, f in enumerate(irrational) if not f]
+    irr = [j for j, f in enumerate(irrational) if f]
+    int_a = [[weights[j] * row[j].coeffs[0] for j in rat] for row in rows_a]
+    int_b = [[row[j].coeffs[0] for j in rat] for row in rows_b]
+    # conductors at the irrational positions, numbered; a part's key is
+    # index(na) * K + index(nb), and steps[key] is (m, m // na, m // nb)
+    index = {}
+    for row in (*rows_a, *rows_b):
+        for j in irr:
+            index.setdefault(row[j].conductor, len(index))
+    K = len(index)
+    steps = [None] * (K * K)
+    for na, ia in index.items():
+        for nb, ib in index.items():
+            m = lcm(na, nb)
+            steps[ia * K + ib] = (m, m // na, m // nb)
+    # side a, per row: (position, index(na) * K, weighted pairs) for each
+    # nonzero value, equal (pairs, weight) sharing one tuple; side b, per
+    # row: (index(nb), pairs) or None at each position, one tuple per value
+    weighted = {}
+    sparse_a = []
+    for row in rows_a:
+        entries = []
+        for t, j in enumerate(irr):
+            v = row[j]
+            nz = v._nonzero or v.nonzero
+            if nz:
+                w = weights[j]
+                key = (id(nz), w)
+                if key not in weighted:
+                    weighted[key] = nz if w == 1 else tuple((i, c * w) for i, c in nz)
+                entries.append((t, index[v.conductor] * K, weighted[key]))
+        sparse_a.append(entries)
+    info = {}
+    for row in rows_b:
+        for j in irr:
+            v = row[j]
+            if id(v) not in info:
+                nz = v._nonzero or v.nonzero
+                info[id(v)] = (index[v.conductor], nz) if nz else None
+    dense_b = [[info[id(row[j])] for j in irr] for row in rows_b]
+    for (r, s), L in zip(pairs, Ls):
+        total = sum(map(mul, int_a[r], int_b[s]))
+        parts = {}
+        row_b = dense_b[s]
+        for t, ka, nza in sparse_a[r]:
+            eb = row_b[t]
+            if eb is None:
+                continue
+            key = ka + eb[0]
+            m, sa, sb = steps[key]
+            raw = parts.get(key)
+            if raw is None:
+                raw = parts[key] = [0] * (2 * m)
+            for i, ca in nza:
                 i *= sa
-                ca *= w
-                for j, cb in nzb:
+                for j, cb in eb[1]:
                     raw[i + j * sb] += ca * cb
-        vec = _reduce(m, raw)
-        if any(vec[1:]):
-            total[:] = map(add, total, Cyclotomic(m, vec, _reduced=True).lift(L).coeffs)
+        vec = None
+        for key, raw in parts.items():
+            m = steps[key][0]
+            red = _reduce(m, raw)
+            if any(red[1:]):
+                lifted = Cyclotomic(m, red, _reduced=True).lift(L).coeffs
+                vec = list(lifted) if vec is None else list(map(add, vec, lifted))
+            else:
+                total += red[0]
+        if vec is None:
+            yield Cyclotomic(L, (total,) + (0,) * (L - 1), _reduced=True)
         else:
-            total[0] += vec[0]
-    return Cyclotomic(L, tuple(total), _reduced=True)
+            vec[0] += total
+            yield Cyclotomic(L, tuple(vec), _reduced=True)

@@ -6,14 +6,21 @@ restriction of chi, which by Frobenius reciprocity is also the multiplicity
 of chi in the induced character phi^G.  S = M M^T collects the inner
 products of induced characters; the same numbers recomputed through the
 double-coset (Mackey) sum serve as an independent oracle.
+
+M is one `cyc_gram` batch: each distinct restricted column chi|_H against
+every conj(phi), so characters of G that agree on H cost one column.  The
+Mackey summands are one batch per double coset over the pairs of Irr(H),
+with repeated class pairs of the intersection folded into weights.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from .chartab import character_table
-from .cyclo import cyc_dot
+from .cyclo import cyc_gram
 from .errors import InternalInconsistency, NotProper
 from .group import (
     conjugacy_classes,
@@ -102,23 +109,29 @@ def frobenius_matrix(G, H):
     tH = character_table(HG)
     fuse = fusion_map(G, H, tG, tH)
     kH, kG = tH.k, tG.k
-    sizes = tH.classes.sizes
-    conj_h = tH.conj_values()
-    entries = []
-    for r in range(kH):
-        row = []
-        phi_conj = conj_h[r]
-        for c in range(kG):
-            chi = tG.values[c]
-            total = cyc_dot((chi[fuse[hc]], phi_conj[hc], sizes[hc]) for hc in range(kH))
-            num = total.to_rational_integer()
-            val, rem = divmod(num, H.order)
-            if rem or val < 0:
-                raise InternalInconsistency(
-                    f"non-integral or negative multiplicity at ({r},{c})"
-                )
-            row.append(val)
-        entries.append(tuple(row))
+    # chi restricted to H: one column per distinct tuple of shared value objects
+    position = {}
+    cols = []
+    column_of = []
+    for chi in tG.values:
+        col = tuple(chi[f] for f in fuse)
+        key = tuple(map(id, col))
+        if key not in position:
+            position[key] = len(cols)
+            cols.append(col)
+        column_of.append(position[key])
+    nc = len(cols)
+    pairs = [(c, r) for r in range(kH) for c in range(nc)]
+    values = []
+    for t, total in enumerate(cyc_gram(cols, tH.conj_values(), tH.classes.sizes, pairs)):
+        val, rem = divmod(total.to_rational_integer(), H.order)
+        if rem or val < 0:
+            r, c = divmod(t, nc)
+            raise InternalInconsistency(
+                f"non-integral or negative multiplicity at ({r},{column_of.index(c)})"
+            )
+        values.append(val)
+    entries = [tuple(values[r * nc + c] for c in column_of) for r in range(kH)]
     M = FrobeniusMatrix(G, H, tG, tH, fuse, tuple(entries))
     if M.entries[0][0] != 1:
         raise InternalInconsistency("trivial-on-trivial entry is not 1")
@@ -139,13 +152,8 @@ def permutation_character(G, H):
 
 
 def induced_gram(M):
-    kH = M.n_rows
-    rows = tuple(
-        tuple(sum(M.entries[i][c] * M.entries[j][c] for c in range(M.n_cols))
-              for j in range(kH))
-        for i in range(kH)
-    )
-    for i in range(kH):
+    rows = tuple(tuple(sum(map(mul, a, b)) for b in M.entries) for a in M.entries)
+    for i in range(M.n_rows):
         if rows[i][i] < 1:
             raise InternalInconsistency("induced character with zero norm")
     return InducedGram(rows)
@@ -185,26 +193,50 @@ def _mackey_intersections(G, H):
     return data
 
 
+def _mackey_sums(G, H, pairs):
+    """[phi_r^G, phi_s^G] for each (r, s) in pairs, as double-coset sums.
+
+    Each double coset is one batch over the pairs: its intersection pairs
+    (x, g x g^-1), folded to H-class pairs weighted by their count, are the
+    columns, and every summand is checked to be an integer."""
+    tH = character_table(H.as_group())
+    totals = [0] * len(pairs)
+    for members in _mackey_intersections(G, H):
+        folded = Counter(members)
+        rows_a = [[phi[cx] for cx, _ in folded] for phi in tH.values]
+        rows_b = [[psi[cy] for _, cy in folded] for psi in tH.conj_values()]
+        summands = cyc_gram(rows_a, rows_b, tuple(folded.values()), pairs)
+        for t, summand in enumerate(summands):
+            val, rem = divmod(summand.to_rational_integer(), len(members))
+            if rem:
+                raise InternalInconsistency("Mackey summand is not an integer")
+            totals[t] += val
+    return zip(pairs, totals)
+
+
+@kept_on("_mackey_totals")
+def _mackey_totals(H):
+    """The Mackey totals computed so far, by ordered pair (`kept_on` the
+    subgroup)."""
+    return {}
+
+
 def mackey_inner_product(G, H, phi_idx, psi_idx):
     """[phi^G, psi^G] as the double-coset sum of intersection inner products.
 
     For each representative g the summand is the inner product, over
     I = H^g n H, of phi with the conjugated psi; this never touches M and is
-    the independent oracle for the entries of S = M M^T.
+    the independent oracle for the entries of S = M M^T.  The pairs with
+    phi <= psi are one batch and those with phi > psi another, each computed
+    on first use: a check of the symmetric S usually reads one triangle.
     """
-    M = frobenius_matrix(G, H)
-    tH = M.table_h
-    phi = tH.values[phi_idx]
-    psi_conj = tH.conj_values()[psi_idx]
-    total = 0
-    for members in _mackey_intersections(G, H):
-        s = cyc_dot((phi[cx], psi_conj[cy], 1) for cx, cy in members)
-        num = s.to_rational_integer()
-        val, rem = divmod(num, len(members))
-        if rem:
-            raise InternalInconsistency("Mackey summand is not an integer")
-        total += val
-    return total
+    k = frobenius_matrix(G, H).n_rows
+    r, s = range(k)[phi_idx], range(k)[psi_idx]
+    totals = _mackey_totals(H)
+    if (r, s) not in totals:
+        half = [(a, b) for a in range(k) for b in range(k) if (a <= b) == (r <= s)]
+        totals.update(_mackey_sums(G, H, half))
+    return totals[r, s]
 
 
 # ----------------------------------------------------------------------

@@ -339,6 +339,14 @@ def test_file_spec_reads_the_file_again(tmp_path):
     ("EA:1000000000000000003:0", InvalidSpec, "rank must be at least 1"),
     ("AGL1:9:-2", InvalidSpec, "index parameter -2 must be a positive divisor of 8"),
     ("AGL1:9:0", InvalidSpec, "index parameter 0 must be a positive divisor of 8"),
+    ("AGL1::4", InvalidSpec, "empty parameter in 'AGL1::4'"),
+    ("AGL1:9::4", InvalidSpec, "empty parameter in 'AGL1:9::4'"),
+    ("EA:2:", InvalidSpec, "empty parameter in 'EA:2:'"),
+    ("SL2:", InvalidSpec, "empty parameter in 'SL2:'"),
+    ("S3x", InvalidSpec, "empty factor in product 'S3x'"),
+    ("xS3", InvalidSpec, "empty factor in product 'xS3'"),
+    ("S3xxC2", InvalidSpec, "empty factor in product 'S3xxC2'"),
+    ("Named:V9C2x2x", InvalidSpec, "empty factor in product 'Named:V9C2x2x'"),
 ])
 def test_spec_error_type_and_message(text, error, message):
     with pytest.raises(FrobgraphError) as err:

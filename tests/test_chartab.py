@@ -1,12 +1,19 @@
+from math import lcm
+
+import pytest
 from helpers import group
 
 from frobgraph.chartab import (
+    _lift_row,
+    _primitive_root,
+    _split_eigenspaces,
     character_table,
     class_multiplication_coefficients,
     dixon_prime,
     table_stats,
 )
 from frobgraph.cyclo import Cyclotomic
+from frobgraph.errors import InternalInconsistency
 from frobgraph.group import conjugacy_classes
 from frobgraph.perm import Permutation
 
@@ -125,3 +132,72 @@ def test_export_shapes():
     assert d["order"] == 6 and len(d["rows"]) == 3
     text = t.text()
     assert "X1" in text and "X3" in text
+
+
+def _eigenvectors(spec):
+    cd = conjugacy_classes(group(spec))
+    e = lcm(*cd.element_orders)
+    p = dixon_prime(e, cd.group.order)
+    return cd, e, p, _split_eigenspaces(cd, p)
+
+
+def _reference_lift(cd, omega, e, p):
+    """The multiplicity of every zeta_n^j by the full n^2 transform, for every
+    degree; returns (degree, exponent -> multiplicity per class)."""
+    G = cd.group
+    k = len(cd)
+    inv_class = [cd.class_of_index[G.inverse(r)] for r in cd.rep_indices]
+    s = sum(omega[i] * omega[inv_class[i]] * pow(cd.sizes[i], -1, p) for i in range(k)) % p
+    d = next(r for r in range(1, p // 2 + 1) if r * r * s % p == G.order % p)
+    theta = [d * omega[i] * pow(cd.sizes[i], -1, p) % p for i in range(k)]
+    wp = pow(_primitive_root(p), (p - 1) // e, p)
+    out = []
+    for i, n in enumerate(cd.element_orders):
+        zn = pow(wp, e // n, p)
+        mults = {}
+        for j in range(n):
+            acc = sum(theta[cd.power_map[i][t]] * pow(zn, -j * t, p) for t in range(n))
+            if acc * pow(n, -1, p) % p:
+                mults[j] = acc * pow(n, -1, p) % p
+        out.append(mults)
+    return d, out
+
+
+@pytest.mark.parametrize("spec", ["C12", "S4", "A4", "Named:G80", "SL2:3", "C3xS3"])
+def test_lift_equals_the_full_transform(spec):
+    # linear rows take the O(n) path, the others the n^2 loop; both must give
+    # the multiplicities of the full transform
+    cd, e, p, omegas = _eigenvectors(spec)
+    degrees = []
+    for omega in omegas:
+        d, mults = _reference_lift(cd, omega, e, p)
+        degrees.append(d)
+        row = _lift_row(cd, omega, e, p)
+        for value, n, m in zip(row, cd.element_orders, mults):
+            assert value == Cyclotomic.from_terms(n, m)
+    assert 1 in degrees and (spec.startswith("C") or max(degrees) > 1)
+
+
+def test_lift_refuses_a_linear_character_that_is_not_a_homomorphism():
+    # swapping the values at g^2 and g^4 = (g^2)^-1 in a faithful linear
+    # character of C6 keeps the degree 1 and every value a root of unity of
+    # the right order; only theta(g^t) = theta(g)^t over t < 6 can catch it
+    cd, e, p, omegas = _eigenvectors("C6")
+    g = cd.element_orders.index(6)
+    x, y = cd.power_map[g][2], cd.power_map[g][4]
+    faithful = next(w for w in omegas if pow(w[g], 2, p) != 1 and pow(w[g], 3, p) != 1)
+    v = _lift_row(cd, faithful, e, p)[g]  # a primitive 6th root of unity
+    assert v * v != 1 and v * v * v != 1 and v * v * v * v * v * v == 1
+    tampered = list(faithful)
+    tampered[x], tampered[y] = tampered[y], tampered[x]
+    with pytest.raises(InternalInconsistency, match="not a homomorphism"):
+        _lift_row(cd, tampered, e, p)
+
+
+@pytest.mark.parametrize("spec", ["C64", "EA:2:6", "C5xC5xC4"])
+def test_abelian_tables_have_one_class_per_element(spec):
+    # every character of an abelian group is linear, so the whole table is
+    # lifted on the O(n) path
+    t = character_table(group(spec))
+    assert t.k == t.group.order
+    assert set(t.degrees) == {1}

@@ -9,7 +9,7 @@ from helpers import group
 from frobgraph import cyclo
 from frobgraph.chartab import character_table
 from frobgraph.config import DEFAULT_CONDUCTOR_CAP
-from frobgraph.cyclo import Cyclotomic, cyc_dot, cyc_sum, cyclotomic_polynomial
+from frobgraph.cyclo import Cyclotomic, cyc_dot, cyc_gram, cyc_sum, cyclotomic_polynomial
 from frobgraph.errors import ConductorOverflow, NotCoprime, NotRational
 from frobgraph.frobenius import frobenius_matrix
 from frobgraph.perm import parse_cycles
@@ -197,23 +197,87 @@ def test_sums_and_dot_products_match_complex_evaluation():
 
 
 def test_sums_reduce_once(monkeypatch):
-    # once per conductor part: D8's classes have element orders 1, 2, 2, 2, 4,
-    # so each entry of F(S4, D8) has the parts (1, 1), (2, 2) and (4, 4)
+    # D8's table and S4's are rational, so every column of F(S4, D8) is an
+    # integer dot product and nothing is reduced.  C3's classes 1, a, a^2
+    # give F(A4, C3) one rational column and two at conductor 3: one
+    # reduction per entry whose restricted column has a nonzero value
+    # there (the degree-3 character of A4 vanishes on both).
     S4 = group("S4")
     H = S4.subgroup([parse_cycles("(1,2,3,4)", degree=4), parse_cycles("(1,3)", degree=4)])
-    tG, tH = character_table(S4), character_table(H.as_group())
-    tG.conj_values()
-    tH.conj_values()
+    A4 = group("A4")
+    C3 = A4.subgroup([parse_cycles("(1,2,3)", degree=4)])
+    for G, K in ((S4, H), (A4, C3)):
+        character_table(G).conj_values()
+        character_table(K.as_group()).conj_values()
     terms = [(Z(12, i), Z(8, 3 * i), i) for i in range(50)]
     calls = []
     reduce = cyclo._reduce
     monkeypatch.setattr(cyclo, "_reduce", lambda e, raw: calls.append(e) or reduce(e, raw))
     frobenius_matrix(S4, H)
-    assert max(calls) <= 4
-    assert len(calls) == tH.k * tG.k * 3 == 75
+    assert calls == []
+    M = frobenius_matrix(A4, C3)
+    assert calls == [3] * 9
+    assert M.entries == ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1))
     calls.clear()
     cyc_dot(terms)
     assert calls == [24]
+
+
+def _random_value(rng, conductors):
+    """A random value: irrational, rational at some conductor, or zero."""
+    n = rng.choice(conductors)
+    kind = rng.random()
+    if kind < 0.15:
+        return Cyclotomic(n, [0] * n)
+    if kind < 0.35:
+        return Cyclotomic(n, [rng.randint(-4, 4)] + [0] * (n - 1))
+    return Cyclotomic(n, [rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)])
+
+
+def test_gram_equals_cyc_dot_pair_by_pair():
+    # one random batch per seed: mixed conductors, rational, zero and negative
+    # values, negative and zero weights; some columns rational in every row
+    conductors = [1, 2, 3, 4, 5, 7, 8, 12, 15, 20, 24]
+    for seed in range(12):
+        rng = random.Random(seed)
+        ncols = rng.randint(0, 9)
+        rational_cols = {j for j in range(ncols) if rng.random() < 0.3}
+
+        def row():
+            out = []
+            for j in range(ncols):
+                v = _random_value(rng, conductors)
+                if j in rational_cols and any(v.coeffs[1:]):
+                    v = Cyclotomic(v.conductor, [v.coeffs[0]] + [0] * (v.conductor - 1))
+                out.append(v)
+            return out
+
+        rows_a = [row() for _ in range(rng.randint(1, 4))]
+        rows_b = [row() for _ in range(rng.randint(1, 4))]
+        weights = [rng.randint(-6, 6) for _ in range(ncols)]
+        pairs = [(r, s) for r in range(len(rows_a)) for s in range(len(rows_b))]
+        rng.shuffle(pairs)
+        got = list(cyc_gram(rows_a, rows_b, weights, pairs))
+        assert len(got) == len(pairs)
+        for (r, s), value in zip(pairs, got):
+            want = cyc_dot(zip(rows_a[r], rows_b[s], weights))
+            assert (value.conductor, value.coeffs) == (want.conductor, want.coeffs)
+            terms = zip(rows_a[r], rows_b[s], weights)
+            assert abs(_complex(value) - sum(w * _complex(a) * _complex(b) for a, b, w in terms)) < 1e-6
+
+
+def test_gram_overflows_where_cyc_dot_does():
+    # conductors of rational and zero entries count: lcm(101, 103) = 10403 > 5 040
+    zero_101 = Cyclotomic(101, [0] * 101)
+    rows_a = [[Z(101), Cyclotomic.from_int(2)], [zero_101, Cyclotomic.from_int(3)]]
+    rows_b = [[Cyclotomic.from_int(1), Z(103)], [Cyclotomic.from_int(1), Cyclotomic.from_int(5)]]
+    weights = [1, 2]
+    assert list(cyc_gram(rows_a, rows_b, weights, [(1, 1)])) == [30]
+    for r, s in ((0, 0), (1, 0)):
+        with pytest.raises(ConductorOverflow):
+            cyc_dot(zip(rows_a[r], rows_b[s], weights))
+        with pytest.raises(ConductorOverflow):
+            list(cyc_gram(rows_a, rows_b, weights, [(1, 1), (r, s)]))
 
 
 def _reduce_dense(e, raw):
