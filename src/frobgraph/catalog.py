@@ -223,6 +223,8 @@ NAMED_SPECS = {
     # 2^2:9 of order 36 on 13 points: a Klein four group on {1..4} rotated
     # by a 9-cycle whose cube acts trivially on it
     "V9C2x2": (13, ("(1,2)(3,4)", "(2,3,4)(5,6,7,8,9,10,11,12,13)"), 36),
+    # the Mathieu group M11, sharply 4-transitive on 11 points
+    "M11": (11, ("(1,2,3,4,5,6,7,8,9,10,11)", "(3,7,11,8)(4,10,5,6)"), 7920),
 }
 
 

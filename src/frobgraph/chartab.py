@@ -2,12 +2,21 @@
 
 Pipeline: pick a prime p = 1 (mod exponent) with p > 2*floor(sqrt(|G|)),
 split F_p^k into the common eigenspaces of the class-sum matrices (kept as
-sparse rows, mostly zero), read the central characters off the
-one-dimensional pieces, recover degrees from the orthogonality normalization
-mod p, and lift each value to Z[zeta] through root-of-unity multiplicities.
-The bound on p makes every multiplicity and degree smaller than p/2, so the
-lift is unique.  A linear character is read off as one root of unity per
-class and checked to be a homomorphism on the powers of the representative.
+sparse rows, mostly zero, their products composed in C by
+`right_products`), read the central characters off the one-dimensional
+pieces, recover degrees from the orthogonality normalization mod p, and
+lift each value to Z[zeta] through root-of-unity multiplicities.  The bound
+on p makes every multiplicity and degree smaller than p/2, so the lift is
+unique.  A linear character is read off as one root of unity per class and
+checked to be a homomorphism on the powers of the representative.
+
+The eigenvalues of a class matrix on a d-dimensional space are the roots
+mod p of its characteristic polynomial.  While p <= 8 * d * (bit length
+of p) they are found by scanning F_p, p*d steps; small groups have p in the
+hundreds.  Near the order cap p runs to thousands (6 841 for PSL(2, 19)),
+and the roots are split out by gcds instead (Rabin 1980), about
+d^2 log p steps.
+
 The finished table is re-verified exactly before it is returned (row and
 column orthogonality, each one batch of `cyc_gram`); nothing downstream ever
 sees an unchecked table.
@@ -17,12 +26,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 from math import isqrt, lcm
 
 from .cyclo import Cyclotomic, _prime_factors, cyc_gram, is_prime
 from .errors import InternalInconsistency
-from .group import conjugacy_classes, derived_subset, kept_on
+from .group import conjugacy_classes, derived_subset, kept_on, right_products
 
 # ----------------------------------------------------------------------
 # class multiplication coefficients
@@ -46,7 +54,7 @@ def _class_matrix(cd, i, p):
     invs = [G.inverse(x) for x in cd.members[i]]
     rows = [[] for _ in range(len(cd))]
     for m, t in enumerate(cd.rep_indices):
-        for j, c in Counter(map(cls, map(G.mult, invs, repeat(t)))).items():
+        for j, c in Counter(map(cls, right_products(G, invs, t))).items():
             if c % p:
                 rows[j].append((m, c % p))
     return rows
@@ -152,15 +160,108 @@ def _charpoly_mod(A, p):
 
 
 def _poly_roots_mod(poly, p):
-    """All roots in F_p by direct scan (p stays small at desk scale)."""
+    """The distinct roots in F_p of poly (ascending coefficients), ascending.
+
+    Scanning F_p costs about p*d steps for degree d, which is cheapest
+    while p is small.  Otherwise the linear factors are kept by
+    g = gcd(poly, x^p - x) and split apart by gcd(g, (x + delta)^((p-1)/2) - 1)
+    for delta = 0, 1, 2, ... (Rabin 1980), about d^2 log p steps.  Each delta
+    that splits nothing is skipped by every factor of g too, and some delta
+    below p splits any two roots apart, so the search ends.
+    """
+    d = len(poly) - 1
+    if p <= 8 * d * p.bit_length():
+        roots = []
+        for x in range(p):
+            acc = 0
+            for c in reversed(poly):
+                acc = (acc * x + c) % p
+            if acc == 0:
+                roots.append(x)
+        return roots
+    f = _poly_monic(poly, p)
+    if len(f) < 2:
+        return [] if f else list(range(p))
+    # x^p - x mod f, padded so that it has an x term
+    xp = _poly_powmod([0, 1], p, f, p) + [0, 0]
+    xp[1] -= 1
     roots = []
-    for x in range(p):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            roots.append(x)
-    return roots
+    _split_roots(_poly_gcd(f, xp, p), p, 0, roots)
+    return sorted(roots)
+
+
+def _split_roots(g, p, delta, out):
+    """Append the roots of g (monic, a product of distinct x - a) to out,
+    trying the splitting shifts from delta on."""
+    while len(g) > 2:
+        h = _poly_powmod([delta, 1], (p - 1) // 2, g, p) or [0]
+        h[0] -= 1
+        a = _poly_gcd(g, h, p)
+        delta += 1
+        if 1 < len(a) < len(g):
+            _split_roots(a, p, delta, out)
+            g = _poly_divmod(g, a, p)[0]
+    if len(g) == 2:
+        out.append(-g[0] % p)
+
+
+def _poly_monic(f, p):
+    """f mod p without leading zeros, scaled to leading coefficient 1
+    ([] for the zero polynomial)."""
+    f = [c % p for c in f]
+    while f and not f[-1]:
+        f.pop()
+    if f and f[-1] != 1:
+        inv = pow(f[-1], p - 2, p)
+        f = [c * inv % p for c in f]
+    return f
+
+
+def _poly_divmod(a, f, p):
+    """Quotient and remainder of a by the monic f, both reduced mod p."""
+    n = len(f) - 1
+    r = list(a)
+    q = [0] * max(len(a) - n, 0)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = r[i] % p
+        if c:
+            q[i - n] = c
+            for j in range(n):
+                r[i - n + j] -= c * f[j]
+    r = [c % p for c in r[:n]]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _poly_powmod(a, e, f, p):
+    """a^e mod (f, p) by squaring, f monic of degree at least 1."""
+    result = [1]
+    a = _poly_divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            result = _poly_divmod(_poly_mul(result, a), f, p)[1]
+        e >>= 1
+        if e:
+            a = _poly_divmod(_poly_mul(a, a), f, p)[1]
+    return result
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_gcd(a, b, p):
+    """Monic gcd of a and b mod p."""
+    a, b = _poly_monic(a, p), _poly_monic(b, p)
+    while b:
+        a, b = b, _poly_monic(_poly_divmod(a, b, p)[1], p)
+    return a
 
 
 def _nullspace_in_subspace(R, basis, pivots, lam, p):

@@ -19,8 +19,9 @@ of them, and there is no dict keyed by full image tuples.  Inverses are an
 array built on first use, as on the table path.  `conj_map` is one
 expression over a whole right-multiplication row on both paths.  Both paths
 return the same indices.  Nothing outside this module sees the table or the
-base: callers use `mult`, `inverse`, `conj`, `conj_map`, `position` and the
-step helpers `right_multiplications` and `conjugations`.
+base: callers use `mult`, `inverse`, `conj`, `conj_map`, `position`, the
+step helpers `right_multiplications` and `conjugations`, and
+`right_products`, which composes many products by one element at once.
 
 Whole rows are composed in C.  `_gather(src, idx)` is one
 `operator.itemgetter(*idx)` applied to a tuple; table rows and conjugation
@@ -326,6 +327,17 @@ def right_multiplications(G, gen_indices):
         lambda x, right=itemgetter(*keys[g]): at[right(imgs[x])]
         for g in gen_indices
     ]
+
+
+def right_products(G, xs, t):
+    """The tuple of indices of x * t for x in xs (nonempty), composed in C:
+    one gather from table row t, or above the cutoff one gather of the
+    factors' images, each read at t's base image and looked up."""
+    rows = G._table()
+    if rows is not None:
+        return _gather(rows[t], xs)
+    right = itemgetter(*G._keys[t])
+    return tuple(map(G._at.__getitem__, map(right, _gather(G._images, xs))))
 
 
 def conjugations(G, gen_indices):

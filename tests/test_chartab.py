@@ -1,3 +1,5 @@
+import random
+import signal
 from math import lcm
 
 import pytest
@@ -5,6 +7,7 @@ from helpers import group
 
 from frobgraph.chartab import (
     _lift_row,
+    _poly_roots_mod,
     _primitive_root,
     _split_eigenspaces,
     character_table,
@@ -47,6 +50,82 @@ def test_class_coefficients_s3_by_enumeration():
     )
     assert count == class_multiplication_coefficients(G._classdata, transp, transp, three)
     assert count == 3
+
+
+def test_class_coefficients_above_the_cutoff_by_enumeration():
+    # PSL(2, 19) has no multiplication table, so the class matrices compose
+    # base images; oracle: count the pairs with G.mult over both classes
+    G = group("PSL2:19")
+    cd = conjugacy_classes(G)
+    assert G._rows is None
+    involution, nineteen = cd.element_orders.index(2), cd.element_orders.index(19)
+    counts = []
+    for i, j, k in ((involution, involution, 0), (involution, involution, 1),
+                    (involution, nineteen, 8), (nineteen, nineteen + 1, 0)):
+        rep = cd.rep_indices[k]
+        count = sum(1 for x in cd.members[i] for y in cd.members[j] if G.mult(x, y) == rep)
+        assert class_multiplication_coefficients(cd, i, j, k) == count, (i, j, k)
+        counts.append(count)
+    assert counts[0] == 171 and all(counts)
+
+
+def _from_roots(roots, p):
+    """Ascending coefficients of the product of x - a over roots, mod p."""
+    f = [1]
+    for a in roots:
+        f = [(lo - a * hi) % p for lo, hi in zip([0] + f, f + [0])]
+    return f
+
+
+def _scan_roots(f, p):
+    return [x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(f)) % p == 0]
+
+
+def _raise_hang(signum, frame):
+    raise TimeoutError("ran past its deadline")
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang, a test that runs past 10 s."""
+    previous = signal.signal(signal.SIGALRM, _raise_hang)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_poly_roots_agree_with_a_scan(deadline):
+    # degrees 1-16 at these primes fall on both sides of the scan/split rule;
+    # repeated roots and a root at 0 included
+    rng = random.Random(14)
+    sides = set()
+    for p in (7, 13, 241, 547, 6841):
+        for d in range(1, 17):
+            roots = [rng.randrange(p) for _ in range(d)]
+            if d >= 3:
+                roots[1] = roots[2] = roots[0]
+            if d >= 4:
+                roots[3] = 0
+            f = _from_roots(roots, p)
+            assert _poly_roots_mod(f, p) == _scan_roots(f, p) == sorted(set(roots)), (p, d)
+            sides.add(p <= 8 * d * p.bit_length())
+    assert sides == {True, False}
+
+
+def test_poly_roots_skip_an_irreducible_quadratic(deadline):
+    # x^2 - r with r a non-residue has no roots in F_p: only the linear
+    # factors' roots come back, and the splitting ends
+    for p in (7, 13, 241, 547, 6841):
+        r = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+        quadratic = [-r % p, 0, 1]
+        assert _poly_roots_mod(quadratic, p) == []
+        f = _from_roots([5, 3, 3, 0], p)
+        prod = [0] * (len(f) + 2)
+        for i, a in enumerate(f):
+            for j, b in enumerate(quadratic):
+                prod[i + j] = (prod[i + j] + a * b) % p
+        assert _poly_roots_mod(prod, p) == [0, 3, 5], p
 
 
 def test_dixon_prime_rule():

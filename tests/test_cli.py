@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+from frobgraph.catalog import construct, parse_group_spec
 from frobgraph.cli import main
+from frobgraph.group import derived_subgroup
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +90,18 @@ def test_table_text_and_json(capsys):
     payload = json.loads(out)
     assert payload["order"] == 6
     assert payload["rows"][0] == ["1", "1", "1"]
+
+
+def test_table_of_m11(capsys):
+    # oracle: the ATLAS degrees of M11; M11 is simple, so it is perfect
+    code, out, _ = run_cli(capsys, "table", "--group", "Named:M11", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == 7920 and len(payload["class_sizes"]) == 10
+    degrees = sorted(int(row[0]) for row in payload["rows"])
+    assert degrees == [1, 10, 10, 10, 11, 16, 16, 44, 45, 55]
+    G = construct(parse_group_spec("Named:M11"))
+    assert derived_subgroup(G).is_whole()
 
 
 def test_dot_output(capsys):

@@ -17,6 +17,7 @@ from frobgraph.group import (
     normalizer,
     orbit,
     right_multiplications,
+    right_products,
     subgroups_conjugate,
 )
 from frobgraph.perm import Permutation
@@ -314,7 +315,8 @@ def test_subgroups_conjugate_is_equivalence():
 
 
 def _check_arithmetic(G, pairs):
-    """mult, inverse, conj and the step helpers against Permutation products."""
+    """mult, inverse, conj and the step helpers against Permutation products,
+    and right_products against mult."""
     E = G.elements
     for a, b in pairs:
         assert E[G.mult(a, b)] == E[a] * E[b]
@@ -323,9 +325,14 @@ def _check_arithmetic(G, pairs):
         assert right(a) == G.mult(a, b)
         (conj,) = conjugations(G, (a,))
         assert conj(b) == G.conj(a, b)
-    for a in {a for a, _ in pairs}:
+    xs = sorted({a for a, _ in pairs})
+    for a in xs:
         assert E[G.inverse(a)] == E[a].inverse()
         assert list(G.conj_map(a)) == [G.conj(a, x) for x in range(G.order)]
+    # a one-entry xs reaches the one-item gather
+    for b in {b for _, b in pairs}:
+        assert right_products(G, xs, b) == tuple(G.mult(a, b) for a in xs)
+        assert right_products(G, xs[-1:], b) == (G.mult(xs[-1], b),)
 
 
 def _assert_uint16_rows(G):
