@@ -11,11 +11,13 @@ unique.  A linear character is read off as one root of unity per class and
 checked to be a homomorphism on the powers of the representative.
 
 The eigenvalues of a class matrix on a d-dimensional space are the roots
-mod p of its characteristic polynomial.  While p <= 8 * d * (bit length
-of p) they are found by scanning F_p, p*d steps; small groups have p in the
-hundreds.  Near the order cap p runs to thousands (6 841 for PSL(2, 19)),
-and the roots are split out by gcds instead (Rabin 1980), about
-d^2 log p steps.
+mod p of its characteristic polynomial.  While p <= 6 * d * (bit length
+of p) they are found by scanning F_p, p*d steps; above that the roots are
+split out by gcds (Rabin 1980), about d^2 log p steps.  Which path runs
+depends on p and d, not on the size of the group: at p = 337 (SL(2, 7))
+the split takes d <= 6 and the scan d >= 7; at p = 6 841 (PSL(2, 19)) the
+split takes every d up to 87.  Of the factors 1 to 32 tried, 6 gave the
+least root-finding time over the searches of the benchmark workloads.
 
 The finished table is re-verified exactly before it is returned (row and
 column orthogonality, each one batch of `cyc_gram`); nothing downstream ever
@@ -160,17 +162,19 @@ def _charpoly_mod(A, p):
 
 
 def _poly_roots_mod(poly, p):
-    """The distinct roots in F_p of poly (ascending coefficients), ascending.
+    """The distinct roots in F_p of poly (monic of degree d >= 1, ascending
+    coefficients), ascending.
 
-    Scanning F_p costs about p*d steps for degree d, which is cheapest
-    while p is small.  Otherwise the linear factors are kept by
-    g = gcd(poly, x^p - x) and split apart by gcd(g, (x + delta)^((p-1)/2) - 1)
-    for delta = 0, 1, 2, ... (Rabin 1980), about d^2 log p steps.  Each delta
-    that splits nothing is skipped by every factor of g too, and some delta
-    below p splits any two roots apart, so the search ends.
+    Scanning F_p costs about p*d steps; it is kept while p <= 6*d*(bit
+    length of p), where it measured cheaper than the split.  Otherwise the
+    linear factors are kept by g = gcd(poly, x^p - x) and split apart by
+    gcd(g, (x + delta)^((p-1)/2) - 1) for delta = 0, 1, 2, ... (Rabin 1980),
+    about d^2 log p steps.  Each delta that splits nothing is skipped by
+    every factor of g too, and some delta below p splits any two roots
+    apart, so the search ends.
     """
     d = len(poly) - 1
-    if p <= 8 * d * p.bit_length():
+    if p <= 6 * d * p.bit_length():
         roots = []
         for x in range(p):
             acc = 0
@@ -180,8 +184,6 @@ def _poly_roots_mod(poly, p):
                 roots.append(x)
         return roots
     f = _poly_monic(poly, p)
-    if len(f) < 2:
-        return [] if f else list(range(p))
     # x^p - x mod f, padded so that it has an x term
     xp = _poly_powmod([0, 1], p, f, p) + [0, 0]
     xp[1] -= 1
@@ -192,9 +194,10 @@ def _poly_roots_mod(poly, p):
 
 def _split_roots(g, p, delta, out):
     """Append the roots of g (monic, a product of distinct x - a) to out,
-    trying the splitting shifts from delta on."""
+    trying the splitting shifts from delta on.  While g has degree >= 2 it
+    does not divide a power of x + delta, so h below is never zero."""
     while len(g) > 2:
-        h = _poly_powmod([delta, 1], (p - 1) // 2, g, p) or [0]
+        h = _poly_powmod([delta, 1], (p - 1) // 2, g, p)
         h[0] -= 1
         a = _poly_gcd(g, h, p)
         delta += 1

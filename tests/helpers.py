@@ -3,8 +3,11 @@
 These deliberately avoid the library's own code paths: conjugacy classes by
 raw double loops over image tuples, containment checks by set algebra, and
 matrix comparison up to row/column permutation by explicit search.
+`deadline` fails a test that runs too long rather than letting it hang.
 """
 
+import signal
+from contextlib import contextmanager
 from itertools import permutations as iter_permutations
 
 from frobgraph.catalog import construct, parse_group_spec
@@ -12,6 +15,27 @@ from frobgraph.catalog import construct, parse_group_spec
 
 def group(spec_text):
     return construct(parse_group_spec(spec_text))
+
+
+class Hang(Exception):
+    """Raised inside a `deadline` block that runs past its time."""
+
+
+def _raise_hang(signum, frame):
+    raise Hang
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise Hang in the block once it has run `seconds` of wall time, so
+    that a test fails rather than hangs (SIGALRM; the main thread only)."""
+    previous = signal.signal(signal.SIGALRM, _raise_hang)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def brute_conjugacy_partition(G):

@@ -1,9 +1,8 @@
 import random
-import signal
 from math import lcm
 
 import pytest
-from helpers import group
+from helpers import deadline, group
 
 from frobgraph.chartab import (
     _lift_row,
@@ -81,51 +80,39 @@ def _scan_roots(f, p):
     return [x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(f)) % p == 0]
 
 
-def _raise_hang(signum, frame):
-    raise TimeoutError("ran past its deadline")
-
-
-@pytest.fixture
-def deadline():
-    """Fail, rather than hang, a test that runs past 10 s."""
-    previous = signal.signal(signal.SIGALRM, _raise_hang)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    yield
-    signal.setitimer(signal.ITIMER_REAL, 0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def test_poly_roots_agree_with_a_scan(deadline):
+def test_poly_roots_agree_with_a_scan():
     # degrees 1-16 at these primes fall on both sides of the scan/split rule;
     # repeated roots and a root at 0 included
     rng = random.Random(14)
     sides = set()
-    for p in (7, 13, 241, 547, 6841):
-        for d in range(1, 17):
-            roots = [rng.randrange(p) for _ in range(d)]
-            if d >= 3:
-                roots[1] = roots[2] = roots[0]
-            if d >= 4:
-                roots[3] = 0
-            f = _from_roots(roots, p)
-            assert _poly_roots_mod(f, p) == _scan_roots(f, p) == sorted(set(roots)), (p, d)
-            sides.add(p <= 8 * d * p.bit_length())
+    with deadline(10):
+        for p in (7, 13, 241, 547, 6841):
+            for d in range(1, 17):
+                roots = [rng.randrange(p) for _ in range(d)]
+                if d >= 3:
+                    roots[1] = roots[2] = roots[0]
+                if d >= 4:
+                    roots[3] = 0
+                f = _from_roots(roots, p)
+                assert _poly_roots_mod(f, p) == _scan_roots(f, p) == sorted(set(roots)), (p, d)
+                sides.add(p <= 6 * d * p.bit_length())
     assert sides == {True, False}
 
 
-def test_poly_roots_skip_an_irreducible_quadratic(deadline):
+def test_poly_roots_skip_an_irreducible_quadratic():
     # x^2 - r with r a non-residue has no roots in F_p: only the linear
     # factors' roots come back, and the splitting ends
-    for p in (7, 13, 241, 547, 6841):
-        r = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
-        quadratic = [-r % p, 0, 1]
-        assert _poly_roots_mod(quadratic, p) == []
-        f = _from_roots([5, 3, 3, 0], p)
-        prod = [0] * (len(f) + 2)
-        for i, a in enumerate(f):
-            for j, b in enumerate(quadratic):
-                prod[i + j] = (prod[i + j] + a * b) % p
-        assert _poly_roots_mod(prod, p) == [0, 3, 5], p
+    with deadline(10):
+        for p in (7, 13, 241, 547, 6841):
+            r = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+            quadratic = [-r % p, 0, 1]
+            assert _poly_roots_mod(quadratic, p) == []
+            f = _from_roots([5, 3, 3, 0], p)
+            prod = [0] * (len(f) + 2)
+            for i, a in enumerate(f):
+                for j, b in enumerate(quadratic):
+                    prod[i + j] = (prod[i + j] + a * b) % p
+            assert _poly_roots_mod(prod, p) == [0, 3, 5], p
 
 
 def test_dixon_prime_rule():

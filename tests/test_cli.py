@@ -2,12 +2,12 @@ import json
 import os
 import random
 import re
-import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from helpers import Hang, deadline
 
 from frobgraph.catalog import construct, parse_group_spec
 from frobgraph.cli import main
@@ -287,36 +287,22 @@ def _mutate(spec, rng):
     return spec[:a] + new + spec[b:]
 
 
-class _Hang(Exception):
-    pass
-
-
-def _raise_hang(signum, frame):
-    raise _Hang
-
-
 def test_mutated_table_specs_answer_or_fail_cleanly(capsys):
     # every mutant is either a group whose table prints as JSON or one
     # error line with exit code 1, within a few seconds
     rng = random.Random(20261019)
     mutants = [_mutate(rng.choice(_FUZZ_SEEDS), rng) for _ in range(40)]
     codes = []
-    previous = signal.signal(signal.SIGALRM, _raise_hang)
-    try:
-        for spec in mutants:
-            signal.setitimer(signal.ITIMER_REAL, 3)
-            try:
+    for spec in mutants:
+        try:
+            with deadline(3):
                 code, out, err = run_cli(capsys, "table", f"--group={spec}", "--format", "json")
-            except _Hang:
-                pytest.fail(f"table --group {spec!r} ran past 3 s")
-            finally:
-                signal.setitimer(signal.ITIMER_REAL, 0)
-            if code == 0:
-                assert json.loads(out)["order"] >= 1, spec
-            else:
-                assert code == 1 and out == "", spec
-                assert len(err.splitlines()) == 1 and err.startswith("error: "), spec
-            codes.append(code)
-    finally:
-        signal.signal(signal.SIGALRM, previous)
+        except Hang:
+            pytest.fail(f"table --group {spec!r} ran past 3 s")
+        if code == 0:
+            assert json.loads(out)["order"] >= 1, spec
+        else:
+            assert code == 1 and out == "", spec
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), spec
+        codes.append(code)
     assert 0 in codes and 1 in codes
