@@ -142,14 +142,13 @@ def _linear_action(F, matrices, points, projective):
     per matrix M.  A projective point is written with its first nonzero
     coordinate 1, and each image is scaled to that form."""
     index = {v: i for i, v in enumerate(points)}
-    inverse = {a: b for a in range(1, F.q) for b in range(1, F.q) if F.mul(a, b) == 1}
     gens = []
     for M in matrices:
         images = []
         for v in points:
             w = tuple(reduce(F.add, map(F.mul, row, v)) for row in M)
             if projective:
-                s = inverse[next(filter(None, w))]
+                s = F.inverse(next(filter(None, w)))
                 w = tuple(F.mul(s, c) for c in w)
             images.append(index[w])
         gens.append(Permutation(images))

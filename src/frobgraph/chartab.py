@@ -18,6 +18,7 @@ depends on p and d, not on the size of the group: at p = 337 (SL(2, 7))
 the split takes d <= 6 and the scan d >= 7; at p = 6 841 (PSL(2, 19)) the
 split takes every d up to 87.  Of the factors 1 to 32 tried, 6 gave the
 least root-finding time over the searches of the benchmark workloads.
+Polynomials mod p and the primitive root's order test are `smallfield`'s.
 
 The finished table is re-verified exactly before it is returned (row and
 column orthogonality, each one batch of `cyc_gram`); nothing downstream ever
@@ -30,9 +31,10 @@ from collections import Counter
 from dataclasses import dataclass
 from math import isqrt, lcm
 
-from .cyclo import Cyclotomic, _prime_factors, cyc_gram, is_prime
+from .cyclo import Cyclotomic, cyc_gram, is_prime
 from .errors import InternalInconsistency
 from .group import conjugacy_classes, derived_subset, kept_on, right_products
+from .smallfield import _least_of_order, _poly_divmod, _poly_gcd, _poly_monic, _poly_powmod
 
 # ----------------------------------------------------------------------
 # class multiplication coefficients
@@ -208,65 +210,6 @@ def _split_roots(g, p, delta, out):
         out.append(-g[0] % p)
 
 
-def _poly_monic(f, p):
-    """f mod p without leading zeros, scaled to leading coefficient 1
-    ([] for the zero polynomial)."""
-    f = [c % p for c in f]
-    while f and not f[-1]:
-        f.pop()
-    if f and f[-1] != 1:
-        inv = pow(f[-1], p - 2, p)
-        f = [c * inv % p for c in f]
-    return f
-
-
-def _poly_divmod(a, f, p):
-    """Quotient and remainder of a by the monic f, both reduced mod p."""
-    n = len(f) - 1
-    r = list(a)
-    q = [0] * max(len(a) - n, 0)
-    for i in range(len(a) - 1, n - 1, -1):
-        c = r[i] % p
-        if c:
-            q[i - n] = c
-            for j in range(n):
-                r[i - n + j] -= c * f[j]
-    r = [c % p for c in r[:n]]
-    while r and not r[-1]:
-        r.pop()
-    return q, r
-
-
-def _poly_powmod(a, e, f, p):
-    """a^e mod (f, p) by squaring, f monic of degree at least 1."""
-    result = [1]
-    a = _poly_divmod(a, f, p)[1]
-    while e:
-        if e & 1:
-            result = _poly_divmod(_poly_mul(result, a), f, p)[1]
-        e >>= 1
-        if e:
-            a = _poly_divmod(_poly_mul(a, a), f, p)[1]
-    return result
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_gcd(a, b, p):
-    """Monic gcd of a and b mod p."""
-    a, b = _poly_monic(a, p), _poly_monic(b, p)
-    while b:
-        a, b = b, _poly_monic(_poly_divmod(a, b, p)[1], p)
-    return a
-
-
 def _nullspace_in_subspace(R, basis, pivots, lam, p):
     """Ambient basis of ker(R - lam) where R acts in subspace coordinates."""
     d = len(R)
@@ -302,11 +245,7 @@ def dixon_prime(exponent, order):
 
 
 def _primitive_root(p):
-    fac = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise InternalInconsistency(f"no primitive root mod {p}")
+    return _least_of_order(p - 1, lambda g, e: pow(g, e, p))
 
 
 def _sqrt_mod_small_half(a, p):

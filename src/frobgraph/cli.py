@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import gcd
 
 from .catalog import (
     CATALOG_SPECS,
@@ -44,7 +45,7 @@ def render_json(payload):
 
 
 def _load_group(args):
-    if getattr(args, "seed_file", None):
+    if args.seed_file:
         degree, gens = read_permutation_spec(args.seed_file)
         return group_from_generators(degree, gens, order_cap=args.cap), args.seed_file
     if not args.group:
@@ -62,19 +63,15 @@ def _select_subgroups(G, args):
         gens = [parse_cycles(t.strip(), degree=G.degree) for t in args.subgroup.split(";")]
         H = G.subgroup(gens)
         return [(f"<{args.subgroup}>", H)]
+    order = args.subgroup_order
     if args.sylow is not None:
         p = args.sylow
         # never trial-divides p itself, so a huge --sylow cannot stall
         if p not in _prime_factors(G.order):
             raise FrobgraphError(f"--sylow takes a prime dividing {G.order}, not {p}")
-        part = 1
-        n = G.order
-        while n % p == 0:
-            part *= p
-            n //= p
-        chosen = [c for c in enumerate_subgroup_classes(G) if c.order == part]
-    elif args.subgroup_order is not None:
-        chosen = [c for c in enumerate_subgroup_classes(G) if c.order == args.subgroup_order]
+        order = gcd(G.order, p ** G.order.bit_length())  # the p-part of |G|
+    if order is not None:
+        chosen = [c for c in enumerate_subgroup_classes(G) if c.order == order]
     elif args.prime_order:
         chosen = prime_order_subgroup_classes(G)
     elif args.all_classes:
@@ -215,20 +212,20 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_group=True):
-        if needs_group:
-            p.add_argument("--group", help="group spec, e.g. S5, AGL1:9:4, Named:G80")
-            p.add_argument("--seed-file", help="generator file (degree N + cycles)")
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    def common(p, formats=("text", "json")):
+        p.add_argument("--group", help="group spec, e.g. S5, AGL1:9:4, Named:G80")
+        p.add_argument("--seed-file", help="generator file (degree N + cycles)")
         p.add_argument("--cap", type=int, default=None, help="override the order cap")
+        p.add_argument("--format", choices=formats, default="text")
 
     pa = sub.add_parser("analyze", help="matrix, graph, predicates and depth")
-    common(pa)
-    pa.add_argument("--subgroup", help="semicolon-separated generator cycles")
-    pa.add_argument("--subgroup-order", type=int)
-    pa.add_argument("--sylow", type=int, metavar="P")
-    pa.add_argument("--prime-order", action="store_true")
-    pa.add_argument("--all-classes", action="store_true")
+    common(pa, formats=("text", "json", "dot"))
+    selector = pa.add_mutually_exclusive_group()
+    selector.add_argument("--subgroup", help="semicolon-separated generator cycles")
+    selector.add_argument("--subgroup-order", type=int)
+    selector.add_argument("--sylow", type=int, metavar="P")
+    selector.add_argument("--prime-order", action="store_true")
+    selector.add_argument("--all-classes", action="store_true")
     pa.add_argument("--show-tables", action="store_true")
     pa.set_defaults(func=cmd_analyze)
 
@@ -242,7 +239,7 @@ def build_parser():
     pt.set_defaults(func=cmd_table)
 
     pc = sub.add_parser("catalog", help="list the built-in group specs")
-    common(pc, needs_group=False)
+    pc.add_argument("--format", choices=("text", "json"), default="text")
     pc.set_defaults(func=cmd_catalog)
     return parser
 

@@ -342,10 +342,7 @@ def right_products(G, xs, t):
 
 def conjugations(G, gen_indices):
     """Steps x -> g x g^-1; their orbits are the classes under <gen_indices>."""
-    if G._table() is not None:
-        return [G.conj_map(g).__getitem__ for g in gen_indices]
-    conj = G.conj
-    return [lambda x, g=g: conj(g, x) for g in gen_indices]
+    return [G.conj_map(g).__getitem__ for g in gen_indices]
 
 
 def orbit(start, steps, cap=None):
@@ -485,7 +482,7 @@ class ClassData:
 def conjugacy_classes(G):
     """Orbit partition of G under conjugation (`kept_on` the group)."""
     n = G.order
-    orbits = orbit_partition(n, [G.conj_map(g).__getitem__ for g in G.generator_indices])
+    orbits = orbit_partition(n, conjugations(G, G.generator_indices))
     reps = [o[0] for o in orbits]
     members = [tuple(sorted(o)) for o in orbits]
     class_of = [0] * n
@@ -643,7 +640,7 @@ def derived_subset(G, gen_indices):
     """
     comms = {_commutator(G, a, b) for a, b in combinations(gen_indices, 2)} - {0}
     steps = right_multiplications(G, sorted(comms))
-    steps += [G.conj_map(g).__getitem__ for g in gen_indices]
+    steps += conjugations(G, gen_indices)
     return frozenset(orbit(0, steps))
 
 

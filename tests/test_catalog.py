@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from frobgraph.catalog import (
     parse_permutation_spec,
 )
 from frobgraph.config import DEFAULT_ORDER_CAP
+from frobgraph.cyclo import is_prime
 from frobgraph.errors import DeskScaleExceeded, FrobgraphError, InvalidSpec, ParseError
 from frobgraph.group import conjugacy_classes, derived_subgroup
 from frobgraph.smallfield import IRREDUCIBLE, gf
@@ -235,6 +237,80 @@ def _polmod_has_zero_remainder(p, num, den):
     return not any(num)
 
 
+class _SchoolbookField:
+    """GF(q) by definition, the reference for gf(q): the base-p digits of an
+    element are a polynomial over F_p, and a product is reduced modulo
+    IRREDUCIBLE[(p, k)] (modulo x when k = 1) from its top degree down.  The
+    primitive element is the least one whose powers reach every unit."""
+
+    def __init__(self, q):
+        self.q = q
+        self.p = next(d for d in range(2, q + 1) if q % d == 0)
+        self.k = 1
+        while self.p**self.k < q:
+            self.k += 1
+        self.poly = IRREDUCIBLE[(self.p, self.k)] if self.k > 1 else (0, 1)
+        self.primitive = next(g for g in range(1, q) if len(set(self.powers(g, q - 1))) == q - 1)
+
+    def digits(self, a):
+        return [a // self.p**i % self.p for i in range(self.k)]
+
+    def value(self, digits):
+        return sum(c * self.p**i for i, c in enumerate(digits))
+
+    def add(self, a, b):
+        return self.value([(x + y) % self.p for x, y in zip(self.digits(a), self.digits(b))])
+
+    def mul(self, a, b):
+        k = self.k
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(self.digits(a)):
+            for j, y in enumerate(self.digits(b)):
+                prod[i + j] += x * y
+        for i in range(2 * k - 2, k - 1, -1):
+            for j in range(k):
+                prod[i - k + j] -= prod[i] * self.poly[j]
+        return self.value([c % self.p for c in prod[:k]])
+
+    def powers(self, a, n):
+        """[a^1, ..., a^n]"""
+        out = [a]
+        for _ in range(n - 1):
+            out.append(self.mul(out[-1], a))
+        return out
+
+
+@lru_cache(maxsize=None)
+def _field(q):
+    return _SchoolbookField(q)
+
+
+# the 68 primes up to 343 and the 9 recorded prime powers
+_FIELD_SIZES = [q for q in range(2, 344) if is_prime(q)] + sorted(p**k for p, k in IRREDUCIBLE)
+
+
+@pytest.mark.parametrize("q", _FIELD_SIZES)
+def test_gf_agrees_with_a_schoolbook_field(q):
+    F, R = gf(q), _field(q)
+    assert (F.q, F.p, F.k, F.primitive) == (R.q, R.p, R.k, R.primitive)
+    # every element up to q = 64, a stride above
+    xs = range(0, q, 1 if q <= 64 else 1 + q // 64)
+    for a in xs:
+        assert [F.add(a, b) for b in xs] == [R.add(a, b) for b in xs], a
+        assert [F.mul(a, b) for b in xs] == [R.mul(a, b) for b in xs], a
+    assert F.power(0, 0) == 1 and F.power(0, 1) == F.power(0, q) == 0
+    for a in xs[1:]:
+        pw = [1] + R.powers(a, q + 1)
+        assert [F.power(a, n) for n in range(q + 2)] == pw, a
+        order = pw.index(1, 1)
+        assert F.element_order(a) == order
+        assert F.inverse(a) == pw[order - 1] and R.mul(a, pw[order - 1]) == 1
+    with pytest.raises(InvalidSpec, match="zero has no multiplicative order"):
+        F.element_order(0)
+    with pytest.raises(InvalidSpec, match="zero has no multiplicative inverse"):
+        F.inverse(0)
+
+
 def test_field_tables_are_fields():
     for q in (4, 8, 9, 16, 25, 27, 32, 49, 53, 101):
         F = gf(q)
@@ -358,15 +434,12 @@ def test_spec_error_type_and_message(text, error, message):
 # must reproduce their point numbering and generator images exactly.
 
 def _reference_sl2_matrices(q):
-    F = gf(q)
-    mats = [
-        ((F.one, F.one), (F.zero, F.one)),
-        ((F.one, F.zero), (F.one, F.one)),
-    ]
+    F = _field(q)
+    mats = [((1, 1), (0, 1)), ((1, 0), (1, 1))]
     if F.k > 1:
         g = F.primitive
-        mats.append(((F.one, g), (F.zero, F.one)))
-        mats.append(((F.one, F.zero), (g, F.one)))
+        mats.append(((1, g), (0, 1)))
+        mats.append(((1, 0), (g, 1)))
     return F, mats
 
 
@@ -390,7 +463,7 @@ def _reference_psl2(q):
     # point i < q is [1 : i], point q is [0 : 1]
     def point_index(a, b):
         if a != 0:
-            ainv = next(x for x in range(1, q) if F.mul(a, x) == F.one)
+            ainv = next(x for x in range(1, q) if F.mul(a, x) == 1)
             return F.mul(b, ainv)
         return q
 
@@ -398,11 +471,21 @@ def _reference_psl2(q):
     for (m00, m01), (m10, m11) in mats:
         images = []
         for i in range(q + 1):
-            a, b = (F.one, i) if i < q else (F.zero, F.one)
+            a, b = (1, i) if i < q else (0, 1)
             na = F.add(F.mul(m00, a), F.mul(m01, b))
             nb = F.add(F.mul(m10, a), F.mul(m11, b))
             images.append(point_index(na, nb))
         gens.append(images)
+    return gens
+
+
+def _reference_agl1(q, d):
+    # translations by p^i, then the scaling by primitive^((q - 1) / d)
+    F = _field(q)
+    gens = [[F.add(x, F.p**i) for x in range(q)] for i in range(F.k)]
+    if d > 1:
+        s = F.powers(F.primitive, (q - 1) // d)[-1]
+        gens.append([F.mul(s, x) for x in range(q)])
     return gens
 
 
@@ -437,6 +520,14 @@ def test_linear_groups_keep_their_point_numbering(q):
     if expected_order(sl2) <= DEFAULT_ORDER_CAP:
         assert _images(construct(sl2).generators) == _reference_sl2(q)
     assert _images(construct(psl2).generators) == _reference_psl2(q)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 16, 25, 27, 32, 49])
+def test_affine_groups_keep_their_generators(q):
+    for d in range(1, q):
+        if (q - 1) % d == 0:
+            G = construct(parse_group_spec(f"AGL1:{q}:{d}"))
+            assert _images(G.generators) == _reference_agl1(q, d), d
 
 
 def test_psl32_keeps_its_point_numbering():

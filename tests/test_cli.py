@@ -32,7 +32,7 @@ def test_analyze_s3_order2(capsys):
 
 def test_analyze_g80_order4_classes(capsys):
     code, out, _ = run_cli(
-        capsys, "analyze", "--group", "Named:G80", "--subgroup-order", "4", "--all-classes"
+        capsys, "analyze", "--group", "Named:G80", "--subgroup-order", "4"
     )
     assert code == 0
     assert out.count("class ") == 7
@@ -123,6 +123,25 @@ def test_analyze_json_roundtrip(capsys):
     from frobgraph.cli import render_json
 
     assert render_json({k: v for k, v in payload.items() if k != "schema"}) == out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--group", "A5", "--format", "dot"], "invalid choice: 'dot'"),
+    (["table", "--group", "S3", "--format", "dot"], "invalid choice: 'dot'"),
+    (["catalog", "--format", "dot"], "invalid choice: 'dot'"),
+    (["catalog", "--cap", "5"], "unrecognized arguments: --cap 5"),
+    (["analyze", "--group", "S4", "--sylow", "2", "--subgroup-order", "3"],
+     "argument --subgroup-order: not allowed with argument --sylow"),
+    (["analyze", "--group", "Named:G80", "--subgroup-order", "4", "--all-classes"],
+     "argument --all-classes: not allowed with argument --subgroup-order"),
+])
+def test_options_a_command_would_ignore_are_refused(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("usage: frobgraph")
+    assert message in out.err
 
 
 def test_catalog_listing(capsys):

@@ -380,6 +380,16 @@ def test_no_table_above_the_cutoff(name, classes):
     assert G._rows is None
 
 
+def test_conjugation_steps_above_the_cutoff():
+    # conj composes base images; the steps read whole conj_map rows, cached
+    # for the generators only
+    G = group("PSL2:19")
+    gs = G.generator_indices + (5, 1234)
+    for g, step in zip(gs, conjugations(G, gs)):
+        assert [step(x) for x in range(G.order)] == [G.conj(g, x) for x in range(G.order)]
+    assert sorted(G._conj_maps) == sorted(G.generator_indices)
+
+
 def test_base_of_sl2_13_is_not_a_prefix():
     # the stabilizer of the vector (0, 1) fixes (0, k) for every k, so the
     # next base point is (1, 0), point 12
