@@ -7,13 +7,7 @@ import json
 import sys
 from math import gcd
 
-from .catalog import (
-    CATALOG_SPECS,
-    construct,
-    expected_order,
-    parse_group_spec,
-    read_permutation_spec,
-)
+from .catalog import CATALOG_SPECS, GroupSpec, construct, expected_order, parse_group_spec
 from .chartab import character_table, table_stats
 from .cyclo import _prime_factors
 from .depth import minimal_depth
@@ -26,7 +20,6 @@ from .frobenius import (
     satisfies_bii,
 )
 from .graph import frobenius_graph
-from .group import group_from_generators
 from .perm import format_cycles, parse_cycles
 from .subgroups import (
     classify_subgroups,
@@ -46,8 +39,8 @@ def render_json(payload):
 
 def _load_group(args):
     if args.seed_file:
-        degree, gens = read_permutation_spec(args.seed_file)
-        return group_from_generators(degree, gens, order_cap=args.cap), args.seed_file
+        spec = GroupSpec("FromGenerators", (args.seed_file,))
+        return construct(spec, args.cap), args.seed_file
     if not args.group:
         raise FrobgraphError("no group given; use --group or --seed-file")
     spec = parse_group_spec(args.group)

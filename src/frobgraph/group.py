@@ -7,28 +7,29 @@ filter "every g with g x g^-1 in T for each x in X" is `conjugators`;
 normalizers, centralizers and subgroup conjugacy all go through it.  Index 0
 is always the identity because image tuples sort lexicographically.
 
-Index arithmetic has two paths, chosen once per group from its order.  Up to
-order _TABLE_MAX_ORDER (2048) a right-multiplication table of uint16 rows is
-built on first use, 2 n^2 bytes (8.4 MB at the cutoff), and products,
-inverses and conjugates are lookups.  Larger groups look products up by base
-image.  A base is a few points whose images tell the elements apart (3 of
-the q + 1 points for PSL(2, q)); one dict maps each element's base image to
-its index.  A product's base image is read from the factors' images with
+Index arithmetic has two paths, chosen once per group from its order and
+bound when the group is built.  Up to order _TABLE_MAX_ORDER (2048) a
+right-multiplication table of uint16 rows is built with the group, 2 n^2
+bytes (8.4 MB at the cutoff), and products, inverses and conjugates are
+lookups.  Larger groups look products up by base image.  A base is a few
+points whose images tell the elements apart (3 of the q + 1 points for
+PSL(2, q)); one dict maps each element's base image to its index.  A
+product's base image is read from the factors' images with
 `operator.itemgetter`, a handful of points in C rather than all `degree`
 of them, and there is no dict keyed by full image tuples.  Inverses are an
-array built on first use, as on the table path.  `conj_map` is one
-expression over a whole right-multiplication row on both paths.  Both paths
-return the same indices.  Nothing outside this module sees the table or the
-base: callers use `mult`, `inverse`, `conj`, `conj_map`, `position`, the
-step helpers `right_multiplications` and `conjugations`, and
-`right_products`, which composes many products by one element at once.
+array on both paths.  `conj_map` is one expression over a whole
+right-multiplication row on both paths.  Both paths return the same
+indices.  Nothing outside this module sees the table or the base: callers
+use `mult`, `inverse`, `conj`, `conj_map`, `position`, the step helpers
+`right_multiplications` and `conjugations`, and `right_products`, which
+composes many products by one element at once.
 
 Whole rows are composed in C.  `_gather(src, idx)` is one
 `operator.itemgetter(*idx)` applied to a tuple; table rows and conjugation
 maps are gathered so and packed back into uint16 arrays by one
-`struct.Struct` per group, and `coset_action` gathers its columns with one
-itemgetter per generator.  Stored rows stay `array("H")`: tuples of ints
-would take four times the memory.
+`struct.Struct` per group, and `_coset_columns` gathers a coset action's
+columns with one itemgetter per generator.  Stored rows stay `array("H")`:
+tuples of ints would take four times the memory.
 """
 
 from __future__ import annotations
@@ -73,98 +74,65 @@ class PermGroup:
     character table, derived subgroup) is computed on first use and kept on
     the group by `kept_on`.
 
-    Up to order 2048 the arithmetic reads a table of n uint16 rows (2 n^2
-    bytes) built on first use, and `index` maps image tuples to indices.
+    `__init__` binds the arithmetic.  Up to order 2048 it reads a table of
+    n uint16 rows (2 n^2 bytes), and `index` maps image tuples to indices.
     Larger groups have a `base`, points whose images tell the elements
     apart: a product's base image is composed with `itemgetter` and looked
-    up in a dict keyed by base images; their `inverse` reads an array built
-    on first use.  `position` finds an element from its full images on both
+    up in a dict keyed by base images.  Both paths keep an array of
+    inverses.  `position` finds an element from its full images on both
     paths, and `conj_map` is shared by both paths.
     """
 
     def __init__(self, degree, generators, elements):
         self.degree = degree
         self.elements = tuple(sorted(elements, key=attrgetter("images")))
-        self.order = len(self.elements)
+        n = self.order = len(self.elements)
         if not self.elements or not self.elements[0].is_identity():
             raise InternalInconsistency("identity missing from element list")
-        self._rows = None
-        self._images = None
-        self._inverses = None
         self._conj_maps = {}
         # packs a gathered tuple of n indices into the bytes of a uint16 row
-        self._packer = struct.Struct(f"{self.order}H")
-        if self.order <= _TABLE_MAX_ORDER:
+        self._packer = struct.Struct(f"{n}H")
+        gens = tuple(generators)
+        if not gens and n > 1:
+            raise InternalInconsistency("nontrivial group needs generators")
+        self.generators = gens if gens else (Permutation.identity(degree),)
+        self._rows = self._images = None
+        if n <= _TABLE_MAX_ORDER:
             self.index = {p.images: i for i, p in enumerate(self.elements)}
         else:
             imgs = self._images = [p.images for p in self.elements]
             self.base = _base(imgs)
             self._key = itemgetter(*self.base)
             keys = self._keys = list(map(self._key, imgs))
-            at = self._at = dict(zip(keys, range(self.order)))
-            self.mult = lambda a, b: at[itemgetter(*keys[b])(imgs[a])]
-        gens = tuple(generators)
-        if not gens and self.order > 1:
-            raise InternalInconsistency("nontrivial group needs generators")
-        self.generators = gens if gens else (Permutation.identity(degree),)
+            at = self._at = dict(zip(keys, range(n)))
         self.generator_indices = tuple(self.position(g.images) for g in self.generators)
         if None in self.generator_indices:
             raise InternalInconsistency("generator missing from element list")
-
-    # ------------------------------------------------------------------
-    # index arithmetic
-    #
-    # mult, inverse and conj below run at most once per group: _table binds
-    # instance attributes of the same names, which shadow them.  Above the
-    # cutoff __init__ binds mult, and _table binds inverse and conj.
-
-    def mult(self, a, b):
-        """Index of elements[a] * elements[b] (b acts first)."""
-        self._table()
-        return self.mult(a, b)
-
-    def inverse(self, a):
-        self._table()
-        return self.inverse(a)
-
-    def conj(self, g, x):
-        """Index of g x g^-1."""
-        self._table()
-        return self.conj(g, x)
-
-    def _table(self):
-        """Rows with rows[b][x] == mult(x, b), or None above the cutoff.
-
-        The first call builds the table and the inverses (only the inverses
-        above the cutoff) and binds the arithmetic that reads them.
-        """
-        if self._inverses is None:
-            if self.order <= _TABLE_MAX_ORDER:
-                rows = self._rows = _right_multiplication_rows(self)
-                inv = array("H", [r.index(0) for r in rows])
-                self.mult = lambda a, b: rows[b][a]
-                self.conj = lambda g, x: rows[inv[g]][rows[x][g]]
-            else:
-                imgs = self._images
-                keys = self._keys
-                at = self._at
-                base = self.base
-                # g^-1 sends b to the point g sends to b
-                inv = array("H", [at[tuple(map(im.index, base))] for im in imgs])
-                # base images of g x g^-1: those of x g^-1, read through x, then g
-                self.conj = lambda g, x: at[
-                    itemgetter(*itemgetter(*keys[inv[g]])(imgs[x]))(imgs[g])
-                ]
-            self._inverses = inv
-            self.inverse = inv.__getitem__
-        return self._rows
+        # the arithmetic, bound once: mult(a, b) is the index of
+        # elements[a] * elements[b] (b acts first), inverse(a) that of
+        # elements[a]^-1 and conj(g, x) that of g x g^-1
+        if self._images is None:
+            rows = self._rows = _right_multiplication_rows(self)
+            inv = array("H", [r.index(0) for r in rows])
+            self.mult = lambda a, b: rows[b][a]
+            self.conj = lambda g, x: rows[inv[g]][rows[x][g]]
+        else:
+            # g^-1 sends b to the point g sends to b
+            inv = array("H", [at[tuple(map(im.index, self.base))] for im in imgs])
+            self.mult = lambda a, b: at[itemgetter(*keys[b])(imgs[a])]
+            # base images of g x g^-1: those of x g^-1, read through x, then g
+            self.conj = lambda g, x: at[
+                itemgetter(*itemgetter(*keys[inv[g]])(imgs[x]))(imgs[g])
+            ]
+        self._inverses = inv
+        self.inverse = inv.__getitem__
 
     def _row(self, b):
         """Sequence x -> mult(x, b) over all x: a table row, or above the
         cutoff one array built with a single itemgetter."""
         imgs = self._images
         if imgs is None:
-            return self._table()[b]
+            return self._rows[b]
         right = itemgetter(*self._keys[b])
         return array("H", map(self._at.__getitem__, map(right, imgs)))
 
@@ -230,6 +198,8 @@ def group_from_generators(degree, generators, order_cap=None, degree_cap=None):
     """Close a generating set; exact order, bounded by the desk-scale caps."""
     order_cap = DEFAULT_ORDER_CAP if order_cap is None else order_cap
     degree_cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
+    if degree < 1:
+        raise InvalidSpec("degree must be at least 1")
     if degree > degree_cap:
         raise DeskScaleExceeded(f"degree {degree} exceeds cap {degree_cap}")
     gens = [Permutation(g.images) if not isinstance(g, Permutation) else g for g in generators]
@@ -319,8 +289,7 @@ def right_multiplications(G, gen_indices):
     """
     imgs = G._images
     if imgs is None:
-        rows = G._table()
-        return [rows[g].__getitem__ for g in gen_indices]
+        return [G._rows[g].__getitem__ for g in gen_indices]
     at = G._at
     keys = G._keys
     return [
@@ -333,9 +302,8 @@ def right_products(G, xs, t):
     """The tuple of indices of x * t for x in xs (nonempty), composed in C:
     one gather from table row t, or above the cutoff one gather of the
     factors' images, each read at t's base image and looked up."""
-    rows = G._table()
-    if rows is not None:
-        return _gather(rows[t], xs)
+    if G._images is None:
+        return _gather(G._rows[t], xs)
     right = itemgetter(*G._keys[t])
     return tuple(map(G._at.__getitem__, map(right, _gather(G._images, xs))))
 
@@ -552,8 +520,19 @@ class CosetAction:
     subgroup: Subgroup
     coset_reps: tuple
     coset_of: tuple
-    image: PermGroup
     kernel: Subgroup
+
+    @property
+    @kept_on("_image")
+    def image(self):
+        """The image as a PermGroup on the cosets, built on first read."""
+        G = self.group
+        columns = _coset_columns(G, self.coset_of, len(self.coset_reps))
+        return PermGroup(
+            len(columns),
+            [Permutation.trusted(tuple(col[g] for col in columns)) for g in G.generator_indices],
+            map(Permutation.trusted, set(zip(*columns))),
+        )
 
     def image_of(self, g):
         """Permutation of coset indices induced by element index g."""
@@ -567,23 +546,19 @@ class CosetAction:
         return self.image.subgroup({self.image_of(i) for i in indices})
 
 
-def coset_action(G, H):
-    """G acting on the left cosets of H; the kernel is core(G, H).
+def _coset_columns(G, coset_of, n_cosets):
+    """columns[j][x] is the coset of x t for any t in coset j, so x's image
+    in the coset action is (columns[j][x] for each j).
 
-    The image is counted over every element of G, not closed from
-    generators, so its order times the order of the core (an intersection
-    of conjugates) must be |G|: two independent computations.
+    The column of coset g t is columns[j] read at x g: one gather per coset,
+    not one product per element and coset.  Tuples, not arrays, so every
+    column shares coset_of's int objects.
     """
-    reps, coset_of = _left_cosets(G, H)
     gens = G.generator_indices
     # an itemgetter over one index returns a scalar, but a group of order 1
     # has one coset, so the gathers below never run on it
     gathers = [itemgetter(*G._row(g)) for g in gens]
-    # columns[j][x] is the coset of x t for any t in coset j, so x's image is
-    # (columns[j][x] for each j).  The column of coset g t is columns[j] read
-    # at x g: one gather per coset, not one product per element and coset.
-    # Tuples, not arrays, so every column shares coset_of's int objects.
-    columns = [coset_of] + [None] * (len(reps) - 1)
+    columns = [coset_of] + [None] * (n_cosets - 1)
     found = [0]
     for j in found:
         for g, gather in zip(gens, gathers):
@@ -591,15 +566,27 @@ def coset_action(G, H):
             if columns[k] is None:
                 columns[k] = gather(columns[j])
                 found.append(k)
-    image = PermGroup(
-        len(reps),
-        [Permutation.trusted(tuple(col[g] for col in columns)) for g in gens],
-        map(Permutation.trusted, set(zip(*columns))),
-    )
-    act = CosetAction(G, H, reps, coset_of, image, core(G, H))
-    if image.order * act.kernel.order != G.order:
-        raise InternalInconsistency("coset action image/kernel orders inconsistent")
-    return act
+    return columns
+
+
+def coset_action(G, H):
+    """G acting on the left cosets of H; the kernel is core(G, H).
+
+    Two checks against the core, an intersection of conjugates computed
+    apart: the image, counted over every element of G rather than closed
+    from generators, has order |G| / |core|, and the elements fixing every
+    coset (a subset of H, coset 0) are the core's.
+    """
+    reps, coset_of = _left_cosets(G, H)
+    columns = _coset_columns(G, coset_of, len(reps))
+    kernel = core(G, H)
+    fixing = H.indices
+    for j, col in enumerate(columns):
+        fixing = [x for x in fixing if col[x] == j]
+    if (len(set(zip(*columns))) * kernel.order != G.order
+            or set(fixing) != kernel.indices):
+        raise InternalInconsistency("coset action image/kernel inconsistent with the core")
+    return CosetAction(G, H, reps, coset_of, kernel)
 
 
 def conjugators(G, xs, target):

@@ -89,6 +89,10 @@ class _Enumerator:
             rec = self.work.pop()
             if not rec.rep.is_whole():
                 self._extend(rec.rep)
+        return self.sorted_classes()
+
+    def sorted_classes(self):
+        """The classes registered, by order, then by representative."""
         self.classes.sort(key=lambda c: (c.order, c.rep.sorted_indices()))
         return self.classes
 
@@ -170,19 +174,11 @@ def prime_order_subgroup_classes(G):
     """Classes of prime-order subgroups, without the full enumeration."""
     # every prime-order subgroup class contains <rep> for a class rep
     cd = conjugacy_classes(G)
-    seen = set()
-    classes = []
+    found = _Enumerator(G)
     for x, o in zip(cd.rep_indices, cd.element_orders):
-        if not is_prime(o):
-            continue
-        members = closure_indices(G, (x,))
-        if members in seen:
-            continue
-        record, conjugates = _subgroup_class(G, members)
-        seen.update(conjugates)
-        classes.append(record)
-    classes.sort(key=lambda c: (c.order, c.rep.sorted_indices()))
-    return classes
+        if is_prime(o):
+            found.register(closure_indices(G, (x,)), None)
+    return found.sorted_classes()
 
 
 def has_diameter_three_subgroup(G):

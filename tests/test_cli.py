@@ -169,6 +169,17 @@ def test_seed_file_over_the_degree_cap_fails(tmp_path, capsys):
     assert err.startswith("error:") and "degree 129" in err
 
 
+@pytest.mark.parametrize("source", ["--seed-file", "--group"])
+def test_generator_file_of_degree_zero_fails(tmp_path, capsys, source):
+    f = tmp_path / "grp.txt"
+    f.write_text("degree 0\n")
+    arg = str(f) if source == "--seed-file" else f"file:{f}"
+    code, out, err = run_cli(capsys, "table", source, arg)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: degree must be at least 1"]
+
+
 def test_subgroup_generator_outside_the_group_fails(capsys):
     code, out, err = run_cli(capsys, "analyze", "--group", "A4", "--subgroup", "(1,2)")
     assert code == 1

@@ -204,6 +204,25 @@ def test_coset_action_order_check_reads_core(monkeypatch):
         coset_action(A4, V4)
 
 
+def test_coset_action_kernel_check_reads_the_core_elements(monkeypatch):
+    # a C4 inside D8 has the order of the true core V4 but other elements, so
+    # only the check of which elements fix every coset catches it
+    S4 = group("S4")
+    D8 = subgroup_of_order(S4, 8)
+    act = coset_action(S4, D8)
+    assert act.kernel.order == 4 and "_image" not in vars(act)
+    assert act.image is vars(act)["_image"] and act.image.order == 6
+    C4 = next(
+        S4.subgroup([S4.elements[x]])
+        for x in D8.indices
+        if S4.elements[x].order() == 4
+    )
+    assert C4.indices <= D8.indices and C4.indices != act.kernel.indices
+    monkeypatch.setattr("frobgraph.group.core", lambda G, H: C4)
+    with pytest.raises(InternalInconsistency, match="image/kernel"):
+        coset_action(S4, D8)
+
+
 def test_normalizer_examples():
     S3 = group("S3")
     H = S3.subgroup([Permutation.from_cycles(3, [(0, 1)])])
