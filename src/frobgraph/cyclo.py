@@ -12,12 +12,13 @@ and conductor pair, and reduced mod Phi_m once at the lcm m of that pair;
 rational parts add as integers, the rest are lifted to L, the lcm of every
 conductor in the sum.  An L above the conductor cap raises ConductorOverflow
 before any accumulation.  Python integers are unbounded, so coefficient
-overflow cannot occur.
+overflow cannot occur.  A value's least conductor (`minimal`, which str and
+hash use) is reached one prime q at a time: v lies in Q(zeta_(e/q)) iff the
+closed-form trace to that field, divided by the degree, lifts back to v.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
 from math import gcd, lcm
@@ -98,6 +99,8 @@ class Cyclotomic:
     def __init__(self, conductor, coeffs, _reduced=False):
         if conductor < 1:
             raise ValueError("conductor must be positive")
+        if not _reduced and len(coeffs) != conductor:
+            raise ValueError(f"{len(coeffs)} coefficients for conductor {conductor}")
         self.conductor = conductor
         self.coeffs = coeffs if _reduced else _reduce(conductor, coeffs)
         self._minimal = None
@@ -216,23 +219,19 @@ class Cyclotomic:
     # -- canonical form across conductors -----------------------------------
 
     def minimal(self):
-        """Equal value at the least possible conductor (cached)."""
+        """Equal value at the least possible conductor (cached): descend by the
+        primes of the conductor in ascending order, restarting after each step."""
         if self._minimal is not None:
             return self._minimal
-        if self.is_rational:
-            m = Cyclotomic.from_int(self.coeffs[0])
-        else:
-            m = self
-            changed = True
-            while changed:
-                changed = False
-                e = m.conductor
-                for q in _prime_factors(e):
-                    f = e // q
-                    if _fixed_by_subfield_galois(m, f):
-                        m = _rewrite_on_subfield(m, f)
-                        changed = True
-                        break
+        m = Cyclotomic.from_int(self.coeffs[0]) if self.is_rational else self
+        while True:
+            for q in _prime_factors(m.conductor):
+                down = _descend(m, m.conductor // q)
+                if down is not None:
+                    m = down
+                    break
+            else:
+                break
         self._minimal = m
         m._minimal = m
         return m
@@ -295,62 +294,36 @@ def is_prime(n):
     return _prime_factors(n) == (n,)
 
 
-def _fixed_by_subfield_galois(v, f):
-    """Whether v is fixed by Gal(Q(zeta_e)/Q(zeta_f)), i.e. lies in Q(zeta_f)."""
-    e = v.conductor
-    for k in range(1 + f, e, f):
-        if gcd(k, e) == 1 and v.galois_conjugate(k) != v:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _subfield_basis(e, f):
-    """Power basis of Q(zeta_f) written at conductor e: columns zeta_e^(e/f * i)."""
-    step = e // f
-    deg_f = len(cyclotomic_polynomial(f)) - 1
-    cols = []
-    for i in range(deg_f):
-        raw = [0] * e
-        raw[(i * step) % e] = 1
-        cols.append(_reduce(e, raw))
-    return tuple(cols)
+    """The trace from Q(zeta_e) to Q(zeta_f), f = e/q with q prime, sends
+    zeta_e^j to w * zeta_f^s for the j-th pair (w, s).  If q^2 | e, its q
+    conjugates 1 + t f sum zeta_e^j to q zeta_f^(j/q) or 0 as q | j or not.  If
+    q || e and q does not divide j, zeta_e^j is zeta_f^(j q^-1 mod f) times a
+    q-th root of unity other than 1, whose q - 1 conjugates sum to -1."""
+    q = e // f
+    if f % q == 0:
+        return tuple((0, 0) if j % q else (q, j // q) for j in range(e))
+    q_inv = pow(q, -1, f)
+    return tuple((-1, j * q_inv % f) if j % q else (q - 1, j // q) for j in range(e))
 
 
-def _rewrite_on_subfield(v, f):
-    """Express v (known to lie in Q(zeta_f)) at conductor f by linear solve."""
+def _descend(v, f):
+    """v at conductor f = e/q, or None when v is not in Q(zeta_f).  On Q(zeta_f)
+    the trace is d * v with d = phi(e)/phi(f); a remainder mod d, or a quotient
+    that does not lift back to v, puts v outside Q(zeta_f)."""
     e = v.conductor
-    cols = _subfield_basis(e, f)
-    deg_e = len(cyclotomic_polynomial(e)) - 1
-    deg_f = len(cols)
-    # Gaussian elimination over Q on the deg_e x deg_f system
-    rows = [[Fraction(cols[j][i]) for j in range(deg_f)] + [Fraction(v.coeffs[i])]
-            for i in range(deg_e)]
-    pivots = []
-    r = 0
-    for c in range(deg_f):
-        piv = next((i for i in range(r, deg_e) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(deg_e):
-            if i != r and rows[i][c]:
-                fac = rows[i][c]
-                rows[i] = [x - fac * y for x, y in zip(rows[i], rows[r])]
-        pivots.append((r, c))
-        r += 1
-    coeffs = [0] * deg_f
-    for rr, cc in pivots:
-        val = rows[rr][deg_f]
-        if val.denominator != 1:
-            raise ArithmeticError("subfield rewrite produced non-integer")
-        coeffs[cc] = int(val)
-    out = Cyclotomic(f, coeffs + [0] * (f - deg_f))
-    if out.lift(e).coeffs != v.coeffs:
-        raise ArithmeticError("subfield rewrite failed verification")
-    return out
+    pairs = _subfield_basis(e, f)
+    raw = [0] * f
+    for j, c in v.nonzero:
+        w, s = pairs[j]
+        raw[s] += w * c
+    trace = _reduce(f, raw)
+    d = _phi_terms(e)[0] // _phi_terms(f)[0]
+    if any(x % d for x in trace):
+        return None
+    out = Cyclotomic(f, tuple(x // d for x in trace), _reduced=True)
+    return out if out.lift(e).coeffs == v.coeffs else None
 
 
 def cyc_sum(values):

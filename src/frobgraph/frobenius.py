@@ -68,9 +68,6 @@ class FrobeniusMatrix:
     def row(self, i):
         return self.entries[i]
 
-    def column(self, j):
-        return tuple(r[j] for r in self.entries)
-
     def text(self):
         widths = [
             max(len(str(self.entries[r][c])) for r in range(self.n_rows))

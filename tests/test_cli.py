@@ -20,6 +20,17 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+GOLDEN_TABLE_ROWS = Path(__file__).resolve().parent / "golden" / "table_rows.json"
+
+
+@pytest.mark.parametrize("spec", ["SL2:5", "C12"])
+def test_table_rows_are_printed_at_the_least_conductor(capsys, spec):
+    # both tables hold values that descend: 1 + z(5)^2 + z(5)^3, z(3)^1
+    code, out, _ = run_cli(capsys, "table", "--group", spec, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"] == json.loads(GOLDEN_TABLE_ROWS.read_text())[spec]
+
+
 def test_analyze_s3_order2(capsys):
     code, out, _ = run_cli(
         capsys, "analyze", "--group", "S3", "--subgroup-order", "2"

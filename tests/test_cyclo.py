@@ -125,6 +125,51 @@ def test_minimal_conductor_of_lifted_values():
             assert m.minimal() == m
 
 
+def _primes_of(n):
+    return [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
+
+
+def _subgroup_fixing(e, f):
+    """The k mod e, k = 1 mod f and coprime to e: Gal(Q(zeta_e)/Q(zeta_f))."""
+    return [k for k in range(e) if k % f == 1 % f and gcd(k, e) == 1]
+
+
+def test_trace_pairs_are_the_sums_of_conjugates():
+    for e in range(1, 41):
+        for q in _primes_of(e):
+            f = e // q
+            ks = _subgroup_fixing(e, f)
+            pairs = cyclo._subfield_basis(e, f)
+            assert len(pairs) == e
+            for j, (w, s) in enumerate(pairs):
+                trace = cyc_sum(Z(e, j).galois_conjugate(k) for k in ks)
+                assert w * Z(f, s) == trace, (e, q, j)
+
+
+def test_minimal_reaches_the_least_conductor():
+    rng = random.Random(1740)
+    for e in range(1, 41):
+        for d in (d for d in range(1, e + 1) if e % d == 0):
+            for _ in range(3):
+                raw = [rng.choice((0, 0, 1, -1, 2)) for _ in range(d)]
+                v = Cyclotomic(d, raw).lift(e)
+                m = v.minimal()
+                assert m == v and d % m.conductor == 0, (e, raw)
+                # not in Q(zeta_(c/q)) for any prime q of c, so c is least
+                c = m.conductor
+                for q in _primes_of(c):
+                    ks = _subgroup_fixing(c, c // q)
+                    assert any(m.galois_conjugate(k) != m for k in ks), (e, raw, q)
+
+
+def test_constructor_rejects_a_vector_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        Cyclotomic(3, [1, 2, 3, 4, 5])
+    with pytest.raises(ValueError):
+        Cyclotomic(4, [1, 0])
+    assert Cyclotomic(3, [1, 2, 3]) == 2 * Z(3) + 3 * Z(3, 2) + 1
+
+
 def test_conductor_overflow():
     with pytest.raises(ConductorOverflow):
         Z(101) * Z(103)
