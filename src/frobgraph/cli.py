@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import gcd
 
@@ -241,9 +242,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
     except FrobgraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed early: send the rest of stdout to devnull, as the
+        # Python docs' note on SIGPIPE advises, and fail without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

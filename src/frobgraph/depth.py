@@ -1,10 +1,18 @@
-"""Minimal subgroup depth from support growth of S = M M^T.
+"""Minimal subgroup depth, read off distances in the Frobenius graph.
 
-Depth 2m+1 holds iff S^(m+1) <= q S^m for some q > 0, and depth 2m holds iff
-S^m M <= q S^(m-1) M.  For nonnegative integer matrices A, B the existence of
-q > 0 with A <= qB is exactly support containment supp(A) <= supp(B): entries
-are finite, so q = max(A) works whenever no entry of A sits over a zero of B.
-That removes the existential quantifier; all chains below are boolean.
+With S = M M^T, depth 2m+1 holds iff S^(m+1) <= q S^m for some q > 0, and
+depth 2m iff S^m M <= q S^(m-1) M (Burciu, Kadison and Kuelshammer, "On
+subgroup depth", 2011).  For nonnegative integer A, B such a q exists exactly
+when supp(A) lies inside supp(B): q = max(A) works.  As M is nonnegative,
+supp(S^m) holds the pairs of characters of H joined by a walk of length 2m in
+the graph of F(G, H), and supp(S^m M) the pairs (phi, chi) joined by a walk
+of length 2m+1.  Every character of H has a neighbour in Irr(G) to step back
+and forth on, so such a walk exists iff the distance is at most its length.
+Let D_HH be the largest finite distance between two characters of H and D_HG
+the largest from a character of H to one of G.  The odd chain stops growing
+at m = D_HH // 2, the even chain at m = (D_HG + 1) // 2, and the distances
+differ by exactly one.  So the minimal depth is max(D_HH, D_HG): the largest
+eccentricity of an Irr(H) vertex within its component.
 """
 
 from __future__ import annotations
@@ -12,32 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, NotProper
-from .frobenius import frobenius_matrix, induced_gram
-
-
-def _bool_rows_from(entries):
-    """Rows of an integer matrix as column bitmasks."""
-    return [sum(1 << j for j, v in enumerate(row) if v) for row in entries]
-
-
-def _bool_mult(A, B):
-    """Boolean matrix product on bitmask rows."""
-    out = []
-    for arow in A:
-        acc = 0
-        j = 0
-        rest = arow
-        while rest:
-            if rest & 1:
-                acc |= B[j]
-            rest >>= 1
-            j += 1
-        out.append(acc)
-    return out
-
-
-def _contained(A, B):
-    return all(a & ~b == 0 for a, b in zip(A, B))
+from .frobenius import frobenius_matrix
+from .graph import _adjacency, _bfs
 
 
 @dataclass(frozen=True)
@@ -47,7 +31,8 @@ class DepthReport:
     odd_certificate is the least m with supp(S^(m+1)) inside supp(S^m)
     (depth 2m+1); even_certificate the least m with supp(S^m M) inside
     supp(S^(m-1) M) (depth 2m).  m = 0 in the odd chain is the degenerate
-    depth-1 case, flagged separately.
+    depth-1 case, flagged separately.  support_chain_lengths[m] is the size
+    of supp(S^m) for m = 0 ... odd_certificate + 1.
     """
 
     minimal_depth: int
@@ -70,59 +55,30 @@ def minimal_depth(G, H):
     if H.order == G.order:
         raise NotProper("depth is defined for proper subgroups")
     M = frobenius_matrix(G, H)
-    S = induced_gram(M)
-    kH = M.n_rows
-    boolM = _bool_rows_from(M.entries)
-    boolS = _bool_rows_from(S.entries)
-    identity = [1 << i for i in range(kH)]
-
-    # supp(S^m) for m = 0, 1, ... until it stabilizes (within kH steps,
-    # since the diagonal of S is positive and supports only grow)
-    s_chain = [identity]
-    while True:
-        nxt = _bool_mult(s_chain[-1], boolS)
-        if not _contained(s_chain[-1], nxt):
-            raise InternalInconsistency("support chain of S is not monotone")
-        s_chain.append(nxt)
-        if nxt == s_chain[-2]:
-            break
-        if len(s_chain) > kH + 2:
-            raise InternalInconsistency("support chain failed to stabilize")
-
-    odd_m = next(
-        m for m in range(len(s_chain) - 1) if _contained(s_chain[m + 1], s_chain[m])
-    )
-    sm_chain = [_bool_mult(s, boolM) for s in s_chain]
-    even_m = next(
-        m for m in range(1, len(sm_chain)) if _contained(sm_chain[m], sm_chain[m - 1])
-    )
-
+    n_left = M.n_cols
+    adjacency = _adjacency(M)
+    hh = []  # finite distances between characters of H
+    d_hg = 0
+    for v in range(n_left, len(adjacency)):
+        if not adjacency[v]:
+            raise InternalInconsistency("induced character with zero norm")
+        dist = _bfs(adjacency, v)
+        hh.extend(d for d in dist[n_left:] if d >= 0)
+        d_hg = max(d_hg, *dist[:n_left])
+    d_hh = max(hh)
+    if abs(d_hh - d_hg) != 1:
+        raise InternalInconsistency(
+            f"distances {d_hh} within Irr(H) and {d_hg} to Irr(G) break depth monotonicity"
+        )
+    odd_m, even_m = d_hh // 2, (d_hg + 1) // 2
     degenerate = odd_m == 0
-    minimal = min(2 * odd_m + 1, 2 * even_m)
-    if degenerate:
-        minimal = 1
-    # depth n must imply depth n+1; both chains are stable past their
-    # certificates, so verify the first few levels explicitly
-    for n in range(minimal, 2 * len(s_chain) + 2):
-        if not _holds(n, s_chain, sm_chain):
-            raise InternalInconsistency(f"depth {n} holds but depth {n + 1} fails")
-    chain_lengths = tuple(sum(bin(r).count("1") for r in s) for s in s_chain)
     return DepthReport(
-        minimal_depth=minimal,
+        minimal_depth=1 if degenerate else min(2 * odd_m + 1, 2 * even_m),
         odd_certificate=odd_m,
         even_certificate=even_m,
         degenerate_depth_one=degenerate,
-        support_chain_lengths=chain_lengths,
+        support_chain_lengths=tuple(sum(d <= 2 * m for d in hh) for m in range(odd_m + 2)),
     )
-
-
-def _holds(n, s_chain, sm_chain):
-    top = len(s_chain) - 1
-    if n % 2:
-        m = min((n - 1) // 2, top - 1)
-        return _contained(s_chain[m + 1], s_chain[m])
-    m = min(n // 2, top)
-    return _contained(sm_chain[m], sm_chain[m - 1])
 
 
 def support_containment_has_scalar(A, B):

@@ -94,9 +94,6 @@ class InducedGram:
 
     entries: tuple
 
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
 
 @kept_on("_fmatrix")
 def frobenius_matrix(G, H):

@@ -56,7 +56,25 @@ class FrobeniusGraph:
         return "\n".join(lines)
 
 
+def _adjacency(M):
+    """Neighbour lists of the graph of F(G, H), numbered as in FrobeniusGraph.
+
+    Column vertex c and row vertex n_left + r are joined exactly when entry
+    (r, c) of M is nonzero; every list is in increasing vertex order.
+    """
+    n_left = M.n_cols
+    adjacency = [[] for _ in range(n_left + M.n_rows)]
+    for r, row in enumerate(M.entries):
+        for c, m in enumerate(row):
+            if m:
+                adjacency[c].append(n_left + r)
+                adjacency[n_left + r].append(c)
+    return adjacency
+
+
 def _bfs(adjacency, start):
+    """Distance from start to every vertex by breadth-first search; -1 where
+    no path reaches."""
     dist = [-1] * len(adjacency)
     dist[start] = 0
     frontier = [start]
@@ -75,15 +93,8 @@ def _bfs(adjacency, start):
 
 def frobenius_graph(M):
     """Components, eccentricities and diameter of the graph of F(G, H)."""
-    n_left = M.n_cols
-    n_right = M.n_rows
-    n = n_left + n_right
-    adjacency = [[] for _ in range(n)]
-    for r in range(n_right):
-        for c in range(n_left):
-            if M.entries[r][c]:
-                adjacency[c].append(n_left + r)
-                adjacency[n_left + r].append(c)
+    adjacency = _adjacency(M)
+    n = len(adjacency)
     least = []  # least vertex of each vertex's component
     ecc = []
     for v in range(n):

@@ -376,9 +376,6 @@ class Subgroup:
         """
         return PermGroup(self.parent.degree, self.generators, self.permutations())
 
-    def __contains__(self, idx):
-        return idx in self.indices
-
     def is_trivial(self):
         return self.order == 1
 

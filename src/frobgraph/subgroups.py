@@ -312,8 +312,6 @@ def is_minimal_rich_group(G):
     if not has_diameter_three_subgroup(G):
         return False
     for cls in maximal_subgroup_classes(G):
-        if cls.order == 1:
-            continue
         M = cls.rep.as_group()
         if has_diameter_three_subgroup(M):
             return False

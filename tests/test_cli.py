@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 from helpers import Hang, deadline
 
-from frobgraph.catalog import construct, parse_group_spec
+from frobgraph.catalog import CATALOG_SPECS, construct, expected_order, parse_group_spec
 from frobgraph.cli import main
 from frobgraph.group import derived_subgroup
+from frobgraph.subgroups import enumerate_subgroup_classes
 
 
 def run_cli(capsys, *argv):
@@ -83,6 +84,18 @@ def test_scan_check_minimal(capsys):
     assert "minimal with a nontrivial rich subgroup: True" in out
 
 
+def test_scan_check_minimal_json(capsys):
+    code, out, _ = run_cli(capsys, "scan", "--group", "A4", "--check-minimal", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["minimal_rich"] is True
+
+
+def test_scan_refuses_perfect_seeding_at_order_3600(capsys):
+    code, out, err = run_cli(capsys, "scan", "--group", "A5xA5")
+    assert code == 1 and out == ""
+    assert err == "error: perfect-subgroup seeding is only guaranteed below order 3600\n"
+
+
 def test_scan_json_roundtrip(capsys):
     code, out, _ = run_cli(capsys, "scan", "--group", "A4", "--format", "json")
     assert code == 0
@@ -136,6 +149,15 @@ def test_analyze_json_roundtrip(capsys):
     assert render_json({k: v for k, v in payload.items() if k != "schema"}) == out
 
 
+def test_analyze_all_classes_json_covers_every_proper_class(capsys):
+    code, out, _ = run_cli(capsys, "analyze", "--group", "S4", "--all-classes", "--format", "json")
+    assert code == 0
+    orders = [a["subgroup_order"] for a in json.loads(out)["analyses"]]
+    assert orders == [1, 2, 2, 3, 4, 4, 4, 6, 8, 12]
+    G = construct(parse_group_spec("S4"))
+    assert orders == [c.order for c in enumerate_subgroup_classes(G) if not c.rep.is_whole()]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["scan", "--group", "A5", "--format", "dot"], "invalid choice: 'dot'"),
     (["table", "--group", "S3", "--format", "dot"], "invalid choice: 'dot'"),
@@ -159,6 +181,14 @@ def test_catalog_listing(capsys):
     code, out, _ = run_cli(capsys, "catalog")
     assert code == 0
     assert "Named:G351" in out and "order 351" in out
+
+
+def test_catalog_json_lists_every_spec(capsys):
+    code, out, _ = run_cli(capsys, "catalog", "--format", "json")
+    assert code == 0
+    listed = [(row["spec"], row["order"]) for row in json.loads(out)["catalog"]]
+    assert listed == [(spec.label(), expected_order(spec)) for spec in CATALOG_SPECS]
+    assert len(listed) == 40
 
 
 def test_seed_file(tmp_path, capsys):
@@ -244,6 +274,28 @@ def test_sylow_one_fails_without_hanging():
     )
     assert proc.returncode == 1
     assert "takes a prime" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog"],
+    ["analyze", "--group", "Named:D12", "--all-classes"],
+])
+def test_closed_stdout_fails_quietly(argv):
+    # the read end is closed before the child starts, so its first write to
+    # stdout meets a broken pipe
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "frobgraph", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 @pytest.mark.parametrize("p", ["4", "0", "-2", "5", "1000000000000000003"])

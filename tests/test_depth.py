@@ -4,10 +4,11 @@ import pytest
 
 from helpers import group, subgroup_of_order
 
+from frobgraph.catalog import SCAN_SPECS, construct
 from frobgraph.depth import minimal_depth, support_containment_has_scalar
 from frobgraph.errors import NotProper
 from frobgraph.frobenius import frobenius_matrix
-from frobgraph.graph import frobenius_graph
+from frobgraph.graph import INFINITE, frobenius_graph
 from frobgraph.group import core
 from frobgraph.subgroups import enumerate_subgroup_classes
 
@@ -110,3 +111,58 @@ def test_support_containment_matches_scalar_oracle():
             all(not a or b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
         )
         assert supp == support_containment_has_scalar(A, B)
+
+
+def _mult(A, B):
+    cols = list(zip(*B))
+    return [[sum(map(int.__mul__, row, col)) for col in cols] for row in A]
+
+
+def _depth_by_definition(M):
+    """(minimal depth, odd m, even m, supp(S^m) sizes) from exact powers of
+    S = M M^T and the scalar oracle, with no graph in sight."""
+    kH = len(M)
+    S = _mult(M, list(zip(*M)))
+    powers = [[[int(i == j) for j in range(kH)] for i in range(kH)]]
+
+    def power(m):
+        while len(powers) <= m:
+            assert len(powers) <= kH * kH + 1, "supports failed to stabilize"
+            powers.append(_mult(powers[-1], S))
+        return powers[m]
+
+    odd = next(m for m in range(kH * kH + 1)
+               if support_containment_has_scalar(power(m + 1), power(m)))
+    lengths = tuple(sum(map(bool, sum(P, []))) for P in powers[:odd + 2])
+    even = next(m for m in range(1, kH * kH + 2)
+                if support_containment_has_scalar(_mult(power(m), M), _mult(power(m - 1), M)))
+    depth = 1 if odd == 0 else min(2 * odd + 1, 2 * even)
+    return depth, odd, even, lengths
+
+
+def test_depth_matches_its_definition_on_every_scan_pair():
+    pairs = 0
+    for spec in SCAN_SPECS:
+        G = construct(spec)
+        for cls in enumerate_subgroup_classes(G):
+            H = cls.rep
+            if H.is_whole():
+                continue
+            M = frobenius_matrix(G, H)
+            rep = minimal_depth(G, H)
+            depth, odd, even, lengths = _depth_by_definition([list(r) for r in M.entries])
+            where = (spec.label(), cls.order)
+            assert rep.minimal_depth == depth, where
+            assert rep.odd_certificate == odd and rep.even_certificate == even, where
+            assert rep.degenerate_depth_one == (odd == 0), where
+            assert rep.support_chain_lengths == lengths, where
+            # the largest eccentricity of an Irr(H) vertex within its component
+            g = frobenius_graph(M)
+            n = g.n_left + g.n_right
+            ecc = max(
+                max(d for v in range(n) if (d := g.distance(u, v)) != INFINITE)
+                for u in range(g.n_left, n)
+            )
+            assert rep.minimal_depth == ecc, where
+            pairs += 1
+    assert pairs == 490
