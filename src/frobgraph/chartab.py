@@ -33,7 +33,7 @@ from math import isqrt, lcm
 
 from .cyclo import Cyclotomic, cyc_gram, is_prime
 from .errors import InternalInconsistency
-from .group import conjugacy_classes, derived_subset, kept_on, right_products
+from .group import conjugacy_classes, derived_order, kept_on, right_products
 from .smallfield import _least_of_order, _poly_divmod, _poly_gcd, _poly_monic, _poly_powmod
 
 # ----------------------------------------------------------------------
@@ -485,7 +485,7 @@ def _verify_table(table):
     # |G| = T*b - [G:G']*(b-1) - sum over middle degrees of d*(b-d),
     # with the abelianization order taken from the derived subgroup.
     st = table.stats()
-    ab = G.order // len(derived_subset(G, G.generator_indices))
+    ab = G.order // derived_order(G)
     if ab != sum(1 for d in degrees if d == 1):
         raise InternalInconsistency("linear character count != abelianization order")
     mid = sum(d * (st.b - d) for d in degrees if 1 < d < st.b)

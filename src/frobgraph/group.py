@@ -7,22 +7,26 @@ filter "every g with g x g^-1 in T for each x in X" is `conjugators`;
 normalizers, centralizers and subgroup conjugacy all go through it.  Index 0
 is always the identity because image tuples sort lexicographically.
 
+`group_from_generators` closes its generators with a deterministic
+Schreier-Sims stabilizer chain (`_Chain`), which is then dropped.  The
+order, the product of the chain's orbit lengths, is known and checked
+against the order cap before any element is listed; the elements are the
+transversal products, each level composed in C.  `normal_closure_order`
+reads a subgroup's order off such a chain without listing it.
+
 Index arithmetic has two paths, chosen once per group from its order and
 bound when the group is built.  Up to order _TABLE_MAX_ORDER (2048) a
 right-multiplication table of uint16 rows is built with the group, 2 n^2
 bytes (8.4 MB at the cutoff), and products, inverses and conjugates are
 lookups.  Larger groups look products up by base image.  A base is a few
 points whose images tell the elements apart (3 of the q + 1 points for
-PSL(2, q)); one dict maps each element's base image to its index.  A
+PSL(2, q)); one dict maps each element's base image to its index, and a
 product's base image is read from the factors' images with
-`operator.itemgetter`, a handful of points in C rather than all `degree`
-of them, and there is no dict keyed by full image tuples.  Inverses are an
-array on both paths.  `conj_map` is one expression over a whole
-right-multiplication row on both paths.  Both paths return the same
-indices.  Nothing outside this module sees the table or the base: callers
-use `mult`, `inverse`, `conj`, `conj_map`, `position`, the step helpers
-`right_multiplications` and `conjugations`, and `right_products`, which
-composes many products by one element at once.
+`operator.itemgetter`.  Inverses are an array on both paths, and both
+return the same indices.  Nothing outside this module sees the table or
+the base: callers use `mult`, `inverse`, `conj`, `conj_map`, `position`,
+the step helpers `right_multiplications` and `conjugations`, and
+`right_products`, which composes many products by one element at once.
 
 Whole rows are composed in C.  `_gather(src, idx)` is one
 `operator.itemgetter(*idx)` applied to a tuple; table rows and conjugation
@@ -38,7 +42,8 @@ import struct
 from array import array
 from dataclasses import dataclass
 from functools import wraps
-from itertools import combinations
+from itertools import chain as concat, combinations
+from math import inf
 from operator import attrgetter, itemgetter
 
 from .config import DEFAULT_DEGREE_CAP, DEFAULT_ORDER_CAP
@@ -74,13 +79,9 @@ class PermGroup:
     character table, derived subgroup) is computed on first use and kept on
     the group by `kept_on`.
 
-    `__init__` binds the arithmetic.  Up to order 2048 it reads a table of
-    n uint16 rows (2 n^2 bytes), and `index` maps image tuples to indices.
-    Larger groups have a `base`, points whose images tell the elements
-    apart: a product's base image is composed with `itemgetter` and looked
-    up in a dict keyed by base images.  Both paths keep an array of
-    inverses.  `position` finds an element from its full images on both
-    paths, and `conj_map` is shared by both paths.
+    `__init__` binds the arithmetic: table rows and `index` (image tuple ->
+    index) up to order 2048, a `base` and `_at` (base image -> index) above.
+    Either dict must have one key per element.
     """
 
     def __init__(self, degree, generators, elements):
@@ -98,13 +99,15 @@ class PermGroup:
         self.generators = gens if gens else (Permutation.identity(degree),)
         self._rows = self._images = None
         if n <= _TABLE_MAX_ORDER:
-            self.index = {p.images: i for i, p in enumerate(self.elements)}
+            keyed = self.index = {p.images: i for i, p in enumerate(self.elements)}
         else:
             imgs = self._images = [p.images for p in self.elements]
             self.base = _base(imgs)
             self._key = itemgetter(*self.base)
             keys = self._keys = list(map(self._key, imgs))
-            at = self._at = dict(zip(keys, range(n)))
+            keyed = at = self._at = dict(zip(keys, range(n)))
+        if len(keyed) != n:
+            raise InternalInconsistency("repeated element in element list")
         self.generator_indices = tuple(self.position(g.images) for g in self.generators)
         if None in self.generator_indices:
             raise InternalInconsistency("generator missing from element list")
@@ -206,13 +209,80 @@ def group_from_generators(degree, generators, order_cap=None, degree_cap=None):
     for g in gens:
         if g.degree != degree:
             raise DeskScaleExceeded(f"generator degree {g.degree} != {degree}")
-    # p -> p g; itemgetter of one point returns an int, and on one point every
-    # permutation is the identity, so degree 1 needs no steps
-    steps = [itemgetter(*g.images) for g in gens] if degree > 1 else []
-    images = orbit(tuple(range(degree)), steps, order_cap)
-    if images is None:
-        raise DeskScaleExceeded(f"group closure exceeded order cap {order_cap}")
+    images = _Chain(degree, (g.images for g in gens), order_cap).elements()
     return PermGroup(degree, gens, map(Permutation.trusted, images))
+
+
+class _Chain:
+    """Stabilizer chain (Sims 1970; Seress 2003, ch. 4) of the group that image
+    tuples generate.  Level i is (base point b, strong generators fixing the
+    earlier base points, with inverses, transversal {y: (u, u^-1)} with
+    u(b) = y, pending (point, generator) pairs).  The order is the product of
+    the orbit lengths; mid-build a lower bound, checked against `cap`."""
+
+    def __init__(self, degree, gens=(), cap=inf):
+        self.ident, self.levels, self.order, self.cap = tuple(range(degree)), [], 1, cap
+        for g in gens:
+            self.add(g)
+
+    def _sift(self, h, start):
+        """Strip h through the levels from start on: (residue, level it stopped at)."""
+        for i in range(start, len(self.levels)):
+            b, _, trans, _ = self.levels[i]
+            u = trans.get(h[b])
+            if u is None:
+                return h, i
+            h = itemgetter(*h)(u[1])
+        return h, len(self.levels)
+
+    def _insert(self, h, top, j):
+        """Make the residue h (fixing the base points above level j) a strong
+        generator of levels top .. j, opening level j at h's first moved point."""
+        if j == len(self.levels):
+            b = next(x for x, y in enumerate(h) if x != y)
+            self.levels.append((b, [], {b: (self.ident, self.ident)}, []))
+        h = (h, tuple(sorted(self.ident, key=h.__getitem__)))
+        for b, gens, trans, pending in self.levels[top : j + 1]:
+            gens.append(h)
+            pending += [(y, h) for y in trans]
+
+    def add(self, g):
+        """Add g to the group; False when it already was an element.  The
+        deepest level with pairs pending is closed first, so the levels a
+        Schreier generator is sifted through are complete."""
+        h, i = self._sift(g, 0)
+        if h == self.ident:
+            return False
+        self._insert(h, 0, i)
+        while i >= 0:
+            b, gens, trans, pending = self.levels[i]
+            if not pending:
+                i -= 1
+                continue
+            y, (s, s_inv) = pending.pop()
+            t = itemgetter(*trans[y][0])(s)
+            known = trans.get(t[b])
+            if known is None:
+                self.order = self.order // len(trans) * (len(trans) + 1)
+                trans[t[b]] = (t, itemgetter(*s_inv)(trans[y][1]))
+                pending += [(t[b], g) for g in gens]
+                if self.order > self.cap:
+                    raise DeskScaleExceeded(f"group closure exceeded order cap {self.cap}")
+            elif t != known[0]:
+                h, j = self._sift(itemgetter(*t)(known[1]), i + 1)
+                if h != self.ident:
+                    self._insert(h, i + 1, j)
+                    i = j
+        return True
+
+    def elements(self):
+        """Every element once: the products u_0 u_1 ... with one transversal
+        element per level, a level at a time, one C-level map per product."""
+        out = [self.ident]
+        for _, _, trans, _ in reversed(self.levels):
+            us = [u for u, _ in trans.values()]
+            out = list(concat.from_iterable(map(itemgetter(*x), us) for x in out))
+        return out
 
 
 def _base(imgs):
@@ -626,6 +696,29 @@ def derived_subset(G, gen_indices):
     steps = right_multiplications(G, sorted(comms))
     steps += conjugations(G, gen_indices)
     return frozenset(orbit(0, steps))
+
+
+def normal_closure_order(G, xs):
+    """Order of the normal closure in G of the elements xs (indices), read
+    off a stabilizer chain without listing its elements: each element that
+    enlarges the chain queues its conjugates by G's generators."""
+    chain, el = _Chain(G.degree), G.elements
+    by = [(el[g].images, el[G.inverse(g)].images) for g in G.generator_indices]
+    todo = [el[x].images for x in xs]
+    while todo and chain.order < G.order:
+        x = todo.pop()
+        if chain.add(x):
+            # g x g^-1 reads a point through g^-1, then x, then g
+            todo += [itemgetter(*itemgetter(*gi)(x))(g) for g, gi in by]
+    return chain.order
+
+
+def derived_order(G):
+    """|G'|: `derived_subset` up to the table cutoff, a chain above it."""
+    gens = G.generator_indices
+    if G._images is None:
+        return len(derived_subset(G, gens))
+    return normal_closure_order(G, {_commutator(G, a, b) for a, b in combinations(gens, 2)})
 
 
 @kept_on("_derived")
