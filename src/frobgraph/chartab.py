@@ -298,9 +298,6 @@ class CharacterTable:
             conj[key] = shared.get((c.conductor, c.coeffs), c)
         return tuple(tuple(conj[v.conductor, v.coeffs] for v in row) for row in self.values)
 
-    def stats(self):
-        return TableStats(T=sum(self.degrees), k=self.k, b=max(self.degrees))
-
     def text(self):
         cd = self.classes
         head = ["class size"] + [str(s) for s in cd.sizes]
@@ -324,7 +321,7 @@ class CharacterTable:
 
 
 def table_stats(table):
-    return table.stats()
+    return TableStats(T=sum(table.degrees), k=table.k, b=max(table.degrees))
 
 
 @kept_on("_chartable")
@@ -484,7 +481,7 @@ def _verify_table(table):
             raise InternalInconsistency(f"column orthogonality failed at ({j},{m})")
     # |G| = T*b - [G:G']*(b-1) - sum over middle degrees of d*(b-d),
     # with the abelianization order taken from the derived subgroup.
-    st = table.stats()
+    st = table_stats(table)
     ab = G.order // derived_order(G)
     if ab != sum(1 for d in degrees if d == 1):
         raise InternalInconsistency("linear character count != abelianization order")

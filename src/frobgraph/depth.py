@@ -17,11 +17,12 @@ eccentricity of an Irr(H) vertex within its component.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, NotProper
 from .frobenius import frobenius_matrix
-from .graph import _adjacency, _bfs
+from .graph import frobenius_graph
 
 
 @dataclass(frozen=True)
@@ -54,18 +55,14 @@ def minimal_depth(G, H):
     """Depth report for a proper subgroup H of G (nontrivial core allowed)."""
     if H.order == G.order:
         raise NotProper("depth is defined for proper subgroups")
-    M = frobenius_matrix(G, H)
-    n_left = M.n_cols
-    adjacency = _adjacency(M)
-    hh = []  # finite distances between characters of H
-    d_hg = 0
-    for v in range(n_left, len(adjacency)):
-        if not adjacency[v]:
-            raise InternalInconsistency("induced character with zero norm")
-        dist = _bfs(adjacency, v)
-        hh.extend(d for d in dist[n_left:] if d >= 0)
-        d_hg = max(d_hg, *dist[:n_left])
-    d_hh = max(hh)
+    graph = frobenius_graph(frobenius_matrix(G, H))
+    n_left = graph.n_left
+    if not all(graph.adjacency[n_left:]):
+        raise InternalInconsistency("induced character with zero norm")
+    rows = graph.distances[n_left:]
+    # the finite distances between characters of H, and the largest to one of G
+    hh = sorted(d for dist in rows for d in dist[n_left:] if d >= 0)
+    d_hh, d_hg = hh[-1], max(max(dist[:n_left]) for dist in rows)
     if abs(d_hh - d_hg) != 1:
         raise InternalInconsistency(
             f"distances {d_hh} within Irr(H) and {d_hg} to Irr(G) break depth monotonicity"
@@ -77,7 +74,7 @@ def minimal_depth(G, H):
         odd_certificate=odd_m,
         even_certificate=even_m,
         degenerate_depth_one=degenerate,
-        support_chain_lengths=tuple(sum(d <= 2 * m for d in hh) for m in range(odd_m + 2)),
+        support_chain_lengths=tuple(bisect_right(hh, 2 * m) for m in range(odd_m + 2)),
     )
 
 

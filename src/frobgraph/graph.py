@@ -18,7 +18,8 @@ class FrobeniusGraph:
     """Left vertices are characters of G, right vertices characters of H.
 
     Vertex v < n_left is the v-th column character; vertex n_left + r is the
-    r-th row character.  diameter is INFINITE exactly when the graph is
+    r-th row character.  distances[u][v] is the length of a shortest path,
+    -1 where none exists.  diameter is INFINITE exactly when the graph is
     disconnected.
     """
 
@@ -26,6 +27,7 @@ class FrobeniusGraph:
     left_degrees: tuple
     right_degrees: tuple
     adjacency: tuple
+    distances: tuple
     component_id: tuple
     n_components: int
     eccentricity: tuple
@@ -40,8 +42,8 @@ class FrobeniusGraph:
         return len(self.right_degrees)
 
     def distance(self, u, v):
-        dist = _bfs(self.adjacency, u)
-        return dist[v] if dist[v] >= 0 else INFINITE
+        d = self.distances[u][v]
+        return d if d >= 0 else INFINITE
 
     def to_dot(self):
         lines = ["graph frobenius {", "  rankdir=BT;"]
@@ -92,27 +94,37 @@ def _bfs(adjacency, start):
 
 
 def frobenius_graph(M):
-    """Components, eccentricities and diameter of the graph of F(G, H)."""
-    adjacency = _adjacency(M)
-    n = len(adjacency)
-    least = []  # least vertex of each vertex's component
-    ecc = []
-    for v in range(n):
-        dist = _bfs(adjacency, v)
-        least.append(next(u for u, d in enumerate(dist) if d >= 0))
-        ecc.append(INFINITE if -1 in dist else max(dist))
-    roots = sorted(set(least))
-    n_comp = len(roots)
-    diameter = INFINITE if n_comp > 1 else max(ecc)
+    """Distances, components, eccentricities and diameter of the graph of
+    F(G, H).  Not kept on M: each graph holds |Irr(G) + Irr(H)|^2 distances."""
+    adjacency = tuple(map(tuple, _adjacency(M)))
+    # Vertices with the same neighbours, at least one (common among characters
+    # of G), are 2 apart and equally far from all others: one search serves all.
+    distances, first = [], {}
+    for v, nbrs in enumerate(adjacency):
+        u = first.setdefault(nbrs or v, v)
+        if u == v:
+            distances.append(_bfs(adjacency, v))
+        else:
+            distances.append(list(distances[u]))
+            distances[v][u], distances[v][v] = 2, 0
+    # components numbered by least vertex: the first not yet numbered starts one
+    component, n_comp = [-1] * len(adjacency), 0
+    for v, dist in enumerate(distances):
+        if component[v] < 0:
+            component = [c if d < 0 else n_comp for d, c in zip(dist, component)]
+            n_comp += 1
+    # in a disconnected graph every vertex has some vertex out of reach
+    ecc = list(map(max, distances)) if n_comp == 1 else [INFINITE] * len(adjacency)
     return FrobeniusGraph(
         matrix=M,
         left_degrees=tuple(M.table_g.degrees),
         right_degrees=tuple(M.table_h.degrees),
-        adjacency=tuple(tuple(a) for a in adjacency),
-        component_id=tuple(roots.index(r) for r in least),
+        adjacency=adjacency,
+        distances=tuple(map(tuple, distances)),
+        component_id=tuple(component),
         n_components=n_comp,
         eccentricity=tuple(ecc),
-        diameter=diameter,
+        diameter=max(ecc),
     )
 
 

@@ -1,11 +1,12 @@
 """Finite permutation groups with explicit element enumeration.
 
-Everything is desk scale: a group is a sorted tuple of all its elements plus
-a dict for O(1) membership (`position`), and the expensive operations
-(normalizers, cores, conjugacy of subgroups) are element filters.  The
-filter "every g with g x g^-1 in T for each x in X" is `conjugators`;
-normalizers, centralizers and subgroup conjugacy all go through it.  Index 0
-is always the identity because image tuples sort lexicographically.
+Everything is desk scale: a group is the sorted tuple of its elements' image
+tuples (index 0 is the identity) plus a dict for O(1) membership
+(`position`), and the expensive operations (normalizers, cores, conjugacy of
+subgroups) are element filters, all through `conjugators`: every g with
+g x g^-1 in T for each x in X.  `Permutation` objects are made only at the
+edges: parsing and the catalog builders, and what is handed back
+(`generators`, `Subgroup.generators`, a witness, `CosetAction.image_of`).
 
 `group_from_generators` closes its generators with a deterministic
 Schreier-Sims stabilizer chain (`_Chain`), which is then dropped.  The
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from functools import wraps
 from itertools import chain as concat, combinations
 from math import inf
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from .config import DEFAULT_DEGREE_CAP, DEFAULT_ORDER_CAP
 from .errors import DeskScaleExceeded, InternalInconsistency, InvalidSpec
@@ -71,7 +72,7 @@ def kept_on(attr):
 
 
 class PermGroup:
-    """Group of permutations of {0..degree-1}.
+    """Group of permutations of {0..degree-1}, its elements image tuples.
 
     Elements are addressed by their index in the sorted element tuple; all
     arithmetic helpers (`mult`, `inverse`, `conj`) work on indices.  Instances
@@ -79,16 +80,17 @@ class PermGroup:
     character table, derived subgroup) is computed on first use and kept on
     the group by `kept_on`.
 
-    `__init__` binds the arithmetic: table rows and `index` (image tuple ->
-    index) up to order 2048, a `base` and `_at` (base image -> index) above.
-    Either dict must have one key per element.
+    `__init__` takes generators and elements as image tuples and binds the
+    arithmetic: table rows and `index` (image tuple -> index) up to order
+    2048, a `base` and `_at` (base image -> index) above.  Either dict must
+    have one key per element.
     """
 
     def __init__(self, degree, generators, elements):
         self.degree = degree
-        self.elements = tuple(sorted(elements, key=attrgetter("images")))
-        n = self.order = len(self.elements)
-        if not self.elements or not self.elements[0].is_identity():
+        els = self.elements = tuple(sorted(elements))
+        n = self.order = len(els)
+        if not els or els[0] != tuple(range(degree)):
             raise InternalInconsistency("identity missing from element list")
         self._conj_maps = {}
         # packs a gathered tuple of n indices into the bytes of a uint16 row
@@ -96,48 +98,49 @@ class PermGroup:
         gens = tuple(generators)
         if not gens and n > 1:
             raise InternalInconsistency("nontrivial group needs generators")
-        self.generators = gens if gens else (Permutation.identity(degree),)
-        self._rows = self._images = None
+        self._rows = self._keys = None
         if n <= _TABLE_MAX_ORDER:
-            keyed = self.index = {p.images: i for i, p in enumerate(self.elements)}
+            keyed = self.index = dict(zip(els, range(n)))
         else:
-            imgs = self._images = [p.images for p in self.elements]
-            self.base = _base(imgs)
+            self.base = _base(els)
             self._key = itemgetter(*self.base)
-            keys = self._keys = list(map(self._key, imgs))
+            keys = self._keys = list(map(self._key, els))
             keyed = at = self._at = dict(zip(keys, range(n)))
         if len(keyed) != n:
             raise InternalInconsistency("repeated element in element list")
-        self.generator_indices = tuple(self.position(g.images) for g in self.generators)
+        self.generator_indices = tuple(map(self.position, gens)) if gens else (0,)
         if None in self.generator_indices:
             raise InternalInconsistency("generator missing from element list")
         # the arithmetic, bound once: mult(a, b) is the index of
         # elements[a] * elements[b] (b acts first), inverse(a) that of
         # elements[a]^-1 and conj(g, x) that of g x g^-1
-        if self._images is None:
+        if self._keys is None:
             rows = self._rows = _right_multiplication_rows(self)
             inv = array("H", [r.index(0) for r in rows])
             self.mult = lambda a, b: rows[b][a]
             self.conj = lambda g, x: rows[inv[g]][rows[x][g]]
         else:
             # g^-1 sends b to the point g sends to b
-            inv = array("H", [at[tuple(map(im.index, self.base))] for im in imgs])
-            self.mult = lambda a, b: at[itemgetter(*keys[b])(imgs[a])]
+            inv = array("H", [at[tuple(map(im.index, self.base))] for im in els])
+            self.mult = lambda a, b: at[itemgetter(*keys[b])(els[a])]
             # base images of g x g^-1: those of x g^-1, read through x, then g
             self.conj = lambda g, x: at[
-                itemgetter(*itemgetter(*keys[inv[g]])(imgs[x]))(imgs[g])
+                itemgetter(*itemgetter(*keys[inv[g]])(els[x]))(els[g])
             ]
         self._inverses = inv
         self.inverse = inv.__getitem__
 
+    @property
+    def generators(self):
+        return tuple(Permutation.trusted(self.elements[i]) for i in self.generator_indices)
+
     def _row(self, b):
         """Sequence x -> mult(x, b) over all x: a table row, or above the
         cutoff one array built with a single itemgetter."""
-        imgs = self._images
-        if imgs is None:
+        if self._keys is None:
             return self._rows[b]
         right = itemgetter(*self._keys[b])
-        return array("H", map(self._at.__getitem__, map(right, imgs)))
+        return array("H", map(self._at.__getitem__, map(right, self.elements)))
 
     def conj_map(self, g):
         """Map x -> g x g^-1 as a sequence indexed by x; cached for generators."""
@@ -158,19 +161,18 @@ class PermGroup:
         Above the cutoff the base image names the only candidate, and the
         full tuple must match it.
         """
-        imgs = self._images
-        if imgs is None:
+        if self._keys is None:
             return self.index.get(images)
         if len(images) != self.degree:
             return None
         i = self._at.get(self._key(images))
-        return i if i is not None and imgs[i] == images else None
+        return i if i is not None and self.elements[i] == images else None
 
     def power(self, a, k):
-        return self.position((self.elements[a] ** k).images)
+        return self.position((Permutation.trusted(self.elements[a]) ** k).images)
 
     def element_order(self, a):
-        return self.elements[a].order()
+        return Permutation.trusted(self.elements[a]).order()
 
     def is_abelian(self):
         gi = self.generator_indices
@@ -205,12 +207,11 @@ def group_from_generators(degree, generators, order_cap=None, degree_cap=None):
         raise InvalidSpec("degree must be at least 1")
     if degree > degree_cap:
         raise DeskScaleExceeded(f"degree {degree} exceeds cap {degree_cap}")
-    gens = [Permutation(g.images) if not isinstance(g, Permutation) else g for g in generators]
-    for g in gens:
-        if g.degree != degree:
-            raise DeskScaleExceeded(f"generator degree {g.degree} != {degree}")
-    images = _Chain(degree, (g.images for g in gens), order_cap).elements()
-    return PermGroup(degree, gens, map(Permutation.trusted, images))
+    images = [(g if isinstance(g, Permutation) else Permutation(g.images)).images for g in generators]
+    for im in images:
+        if len(im) != degree:
+            raise DeskScaleExceeded(f"generator degree {len(im)} != {degree}")
+    return PermGroup(degree, images, _Chain(degree, images, order_cap).elements())
 
 
 class _Chain:
@@ -329,8 +330,8 @@ def _right_multiplication_rows(G):
     packer = G._packer
     gen_rows = []
     for g in G.generator_indices:
-        gi = G.elements[g].images
-        gen_rows.append(tuple(index[_gather(x.images, gi)] for x in G.elements))
+        gi = G.elements[g]
+        gen_rows.append(tuple(index[_gather(x, gi)] for x in G.elements))
     rows = [None] * n
     rows[0] = array("H", range(n))
     found = [0]
@@ -357,9 +358,9 @@ def right_multiplications(G, gen_indices):
     Above the cutoff each step holds one itemgetter and composes per point
     visited, so a small closure in a large group does not pay for whole rows.
     """
-    imgs = G._images
-    if imgs is None:
+    if G._keys is None:
         return [G._rows[g].__getitem__ for g in gen_indices]
+    imgs = G.elements
     at = G._at
     keys = G._keys
     return [
@@ -372,10 +373,10 @@ def right_products(G, xs, t):
     """The tuple of indices of x * t for x in xs (nonempty), composed in C:
     one gather from table row t, or above the cutoff one gather of the
     factors' images, each read at t's base image and looked up."""
-    if G._images is None:
+    if G._keys is None:
         return _gather(G._rows[t], xs)
     right = itemgetter(*G._keys[t])
-    return tuple(map(G._at.__getitem__, map(right, _gather(G._images, xs))))
+    return tuple(map(G._at.__getitem__, map(right, _gather(G.elements, xs))))
 
 
 def conjugations(G, gen_indices):
@@ -428,23 +429,21 @@ class Subgroup:
 
     @property
     def generators(self):
-        return tuple(self.parent.elements[i] for i in self.generator_indices)
+        return tuple(Permutation.trusted(self.parent.elements[i]) for i in self.generator_indices)
 
     @kept_on("_sorted")
     def sorted_indices(self):
         return tuple(sorted(self.indices))
-
-    def permutations(self):
-        return tuple(self.parent.elements[i] for i in self.sorted_indices())
 
     @kept_on("_as_group")
     def as_group(self):
         """The subgroup as a standalone PermGroup of the same degree.
 
         Both sides sort by image tuple, so element i of the result is parent
-        element sorted_indices()[i].
+        element sorted_indices()[i], the same tuple object.
         """
-        return PermGroup(self.parent.degree, self.generators, self.permutations())
+        at = self.parent.elements.__getitem__
+        return PermGroup(self.parent.degree, map(at, self.generator_indices), map(at, self.sorted_indices()))
 
     def is_trivial(self):
         return self.order == 1
@@ -499,10 +498,6 @@ class ClassData:
     centralizer_orders: tuple
     element_orders: tuple
     power_map: tuple
-
-    @property
-    def representatives(self):
-        return tuple(self.group.elements[i] for i in self.rep_indices)
 
     def __len__(self):
         return len(self.rep_indices)
@@ -597,8 +592,8 @@ class CosetAction:
         columns = _coset_columns(G, self.coset_of, len(self.coset_reps))
         return PermGroup(
             len(columns),
-            [Permutation.trusted(tuple(col[g] for col in columns)) for g in G.generator_indices],
-            map(Permutation.trusted, set(zip(*columns))),
+            [tuple(col[g] for col in columns) for g in G.generator_indices],
+            set(zip(*columns)),
         )
 
     def image_of(self, g):
@@ -703,8 +698,8 @@ def normal_closure_order(G, xs):
     off a stabilizer chain without listing its elements: each element that
     enlarges the chain queues its conjugates by G's generators."""
     chain, el = _Chain(G.degree), G.elements
-    by = [(el[g].images, el[G.inverse(g)].images) for g in G.generator_indices]
-    todo = [el[x].images for x in xs]
+    by = [(el[g], el[G.inverse(g)]) for g in G.generator_indices]
+    todo = [el[x] for x in xs]
     while todo and chain.order < G.order:
         x = todo.pop()
         if chain.add(x):
@@ -714,10 +709,8 @@ def normal_closure_order(G, xs):
 
 
 def derived_order(G):
-    """|G'|: `derived_subset` up to the table cutoff, a chain above it."""
+    """|G'|: the normal closure of the generators' commutators, off a chain."""
     gens = G.generator_indices
-    if G._images is None:
-        return len(derived_subset(G, gens))
     return normal_closure_order(G, {_commutator(G, a, b) for a, b in combinations(gens, 2)})
 
 
@@ -755,5 +748,5 @@ def subgroups_conjugate(G, H1, H2):
     if H1.order == H2.order:
         g = next(conjugators(G, H1.generator_indices, H2.indices), None)
         if g is not None:
-            return True, G.elements[g]
+            return True, Permutation.trusted(G.elements[g])
     return False, None

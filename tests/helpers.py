@@ -40,7 +40,7 @@ def deadline(seconds):
 
 def brute_conjugacy_partition(G):
     """Conjugacy classes by conjugating every element by every element."""
-    elems = [p.images for p in G.elements]
+    elems = G.elements
     n = G.degree
 
     def compose(a, b):

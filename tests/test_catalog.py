@@ -83,8 +83,8 @@ def test_agl_structure():
         assert all(KG.element_order(i) == p for i in range(1, q))
         # regular: only the identity fixes a point
         assert all(
-            not any(perm.images[x] == x for x in range(G.degree))
-            for perm in KG.elements[1:]
+            not any(images[x] == x for x in range(G.degree))
+            for images in KG.elements[1:]
         )
 
 

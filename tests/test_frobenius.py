@@ -80,7 +80,7 @@ def test_matrix_s2_in_s3_by_direct_summation():
             total = cyc_sum(
                 tG.values[c][tG.classes.class_of(p)]
                 * tH.values[r][tH.classes.class_of(p)].conjugate()
-                for p in H.permutations()
+                for p in map(Permutation, HG.elements)
             )
             assert total.to_rational_integer() == 2 * M.entries[r][c]
     assert sorted(M.entries) == sorted([(1, 0, 1), (0, 1, 1)])
@@ -233,7 +233,7 @@ def test_frobenius_reciprocity_by_direct_induction():
         H = subgroup_of_order(G, horder)
         M = frobenius_matrix(G, H)
         tG, tH = M.table_g, M.table_h
-        hclass = {idx: tH.classes.class_of(G.elements[idx]) for idx in H.indices}
+        hclass = {idx: tH.classes.class_of(Permutation(G.elements[idx])) for idx in H.indices}
         for r in range(tH.k):
             induced = []
             for rep in tG.classes.rep_indices:
@@ -274,7 +274,7 @@ def test_richness_passes_to_factor_subgroups():
                 if U.order == 1:
                     continue
                 UG = U.as_group()
-                sub = UG.subgroup([G.elements[i] for i in inter])
+                sub = UG.subgroup([Permutation(G.elements[i]) for i in inter])
                 if sub.order == UG.order:
                     continue
                 assert is_rich(UG, sub).ok, (name, H.order, U.order)

@@ -78,6 +78,38 @@ def test_connected_iff_core_trivial():
             assert cnt == g.n_components
 
 
+def schoolbook_distances(g, u):
+    """Distances from u by breadth-first search over g.adjacency; INFINITE
+    where no path reaches."""
+    dist = {u: 0}
+    frontier = [u]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in g.adjacency[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return [dist.get(v, INFINITE) for v in range(len(g.adjacency))]
+
+
+def test_distance_rows_match_a_search_from_every_vertex():
+    # the graph searches once per neighbour set; every vertex is checked here,
+    # on connected and disconnected graphs, with the components and diameter
+    for name in ("S4", "Named:D12", "A5", "AGL1:9:4", "Named:G80"):
+        G = group(name)
+        for cls in enumerate_subgroup_classes(G):
+            g = graph_of(G, cls.rep)
+            n = len(g.adjacency)
+            rows = [schoolbook_distances(g, u) for u in range(n)]
+            assert [[g.distance(u, v) for v in range(n)] for u in range(n)] == rows
+            assert g.eccentricity == tuple(max(r) for r in rows)
+            assert g.diameter == max(map(max, rows))
+            least = [min(v for v in range(n) if r[v] < INFINITE) for r in rows]
+            assert g.component_id == tuple(sorted(set(least)).index(x) for x in least)
+
+
 def test_path_from_trivial_char_has_odd_length():
     S4 = group("S4")
     H = subgroup_of_order(S4, 6)  # S3 point stabilizer

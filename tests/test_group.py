@@ -33,7 +33,7 @@ def test_group_from_generators_s3():
 
 def test_trivial_group():
     G = group_from_generators(1, [])
-    assert G.order == 1 and G.elements[0].is_identity()
+    assert G.order == 1 and G.elements == ((0,),)
 
 
 def test_agl17_order():
@@ -204,6 +204,59 @@ def test_coset_action_order_check_reads_core(monkeypatch):
         coset_action(A4, V4)
 
 
+@pytest.mark.parametrize("name", ["S4", "PSL2:19"])
+def test_groups_from_generators_build_no_permutation_per_element(name, monkeypatch):
+    # S4 runs on its table; PSL2:19 and its coset image run on base images
+    G = group(name)
+    gens = G.generators
+    expected = {
+        "order": G.order,
+        "elements": G.elements,
+        "as_group": G.subgroup(gens[:1]).as_group().elements,
+        "image": coset_action(G, G.subgroup(gens[:1])).image.elements,
+    }
+
+    def refuse(*args):
+        raise AssertionError("a Permutation was built")
+
+    monkeypatch.setattr(Permutation, "trusted", refuse)
+    monkeypatch.setattr(Permutation, "__init__", refuse)
+    K = group_from_generators(G.degree, gens)
+    H = K.subgroup(gens[:1])
+    got = {
+        "order": K.order,
+        "elements": K.elements,
+        "as_group": H.as_group().elements,
+        "image": coset_action(K, H).image.elements,
+    }
+    monkeypatch.undo()
+    assert got == expected
+    assert all(type(x) is tuple for x in got["elements"] + got["image"])
+
+
+def test_generators_witnesses_and_coset_images_are_permutations():
+    G = group("S4")
+    t = Permutation.from_cycles(4, [(0, 1)])
+    u = Permutation.from_cycles(4, [(2, 3)])
+    assert [g.images for g in G.generators] == [G.elements[i] for i in G.generator_indices]
+    assert all(type(g) is Permutation for g in G.generators)
+    H = G.subgroup([t])
+    assert H.generators == (t,) and type(H.generators[0]) is Permutation
+    # the witness is the least element, by images, conjugating t to u
+    ok, w = subgroups_conjugate(G, H, G.subgroup([u]))
+    perms = sorted(map(Permutation, G.elements))
+    assert ok and type(w) is Permutation
+    assert w == next(p for p in perms if p * t * p.inverse() == u)
+    # image_of(g) sends coset j, holding rep r_j, to the coset of g r_j
+    act = coset_action(G, H)
+    for g, p in enumerate(perms):
+        img = act.image_of(g)
+        assert type(img) is Permutation
+        assert img.images == tuple(
+            act.coset_of[G.index[(p * perms[r]).images]] for r in act.coset_reps
+        )
+
+
 def test_coset_action_kernel_check_reads_the_core_elements(monkeypatch):
     # a C4 inside D8 has the order of the true core V4 but other elements, so
     # only the check of which elements fix every coset catches it
@@ -213,9 +266,9 @@ def test_coset_action_kernel_check_reads_the_core_elements(monkeypatch):
     assert act.kernel.order == 4 and "_image" not in vars(act)
     assert act.image is vars(act)["_image"] and act.image.order == 6
     C4 = next(
-        S4.subgroup([S4.elements[x]])
+        S4.subgroup([Permutation(S4.elements[x])])
         for x in D8.indices
-        if S4.elements[x].order() == 4
+        if S4.element_order(x) == 4
     )
     assert C4.indices <= D8.indices and C4.indices != act.kernel.indices
     monkeypatch.setattr("frobgraph.group.core", lambda G, H: C4)
@@ -244,9 +297,9 @@ def _class_reps(name):
 
 def _conjugate_set(G, g, indices):
     """g S g^-1 from Permutation products, not from the index arithmetic."""
-    p = G.elements[g]
+    p = Permutation(G.elements[g])
     pinv = p.inverse()
-    return frozenset(G.index[(p * G.elements[x] * pinv).images] for x in indices)
+    return frozenset(G.index[(p * Permutation(G.elements[x]) * pinv).images] for x in indices)
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "AGL1:9:4"])
@@ -255,7 +308,7 @@ def test_conjugators_match_set_definitions(name):
     for H in reps:
         stabilizer = {g for g in range(G.order) if _conjugate_set(G, g, H.indices) == H.indices}
         assert normalizer(G, H).indices == stabilizer
-    elems = G.elements
+    elems = list(map(Permutation, G.elements))
     for x in range(G.order):
         commuting = [g for g in range(G.order) if elems[g] * elems[x] == elems[x] * elems[g]]
         assert list(conjugators(G, (x,), (x,))) == commuting
@@ -269,7 +322,7 @@ def test_subgroups_conjugate_witnesses_on_s4_classes():
                 continue
             conjugates = {_conjugate_set(G, g, H2.indices) for g in range(G.order)}
             for K in conjugates:
-                ok, w = subgroups_conjugate(G, H1, G.subgroup([G.elements[k] for k in K]))
+                ok, w = subgroups_conjugate(G, H1, G.subgroup([Permutation(G.elements[k]) for k in K]))
                 if H1 is H2:
                     assert ok and _conjugate_set(G, G.index[w.images], H1.indices) == K
                 else:
@@ -336,7 +389,7 @@ def test_subgroups_conjugate_is_equivalence():
 def _check_arithmetic(G, pairs):
     """mult, inverse, conj and the step helpers against Permutation products,
     and right_products against mult."""
-    E = G.elements
+    E = list(map(Permutation, G.elements))
     for a, b in pairs:
         assert E[G.mult(a, b)] == E[a] * E[b]
         assert E[G.conj(a, b)] == E[a] * E[b] * E[a].inverse()
@@ -418,12 +471,12 @@ def test_base_of_sl2_13_is_not_a_prefix():
 def test_agreeing_on_the_base_is_not_membership():
     G = group("PSL2:19")
     assert G.order > 2048 and not {3, 4} & set(G.base)
-    images = list(G.elements[5].images)
+    images = list(G.elements[5])
     images[3], images[4] = images[4], images[3]
     p = Permutation(images)
-    assert G._key(p.images) == G._key(G.elements[5].images)
+    assert G._key(p.images) == G._key(G.elements[5])
     assert G.position(p.images) is None
-    assert G.position(G.elements[5].images) == 5
-    assert G.position(G.elements[5].images[:-1]) is None
+    assert G.position(G.elements[5]) == 5
+    assert G.position(G.elements[5][:-1]) is None
     with pytest.raises(InvalidSpec, match="is not in the group"):
         G.subgroup([p])
