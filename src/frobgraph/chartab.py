@@ -20,9 +20,13 @@ split takes every d up to 87.  Of the factors 1 to 32 tried, 6 gave the
 least root-finding time over the searches of the benchmark workloads.
 Polynomials mod p and the primitive root's order test are `smallfield`'s.
 
-The finished table is re-verified exactly before it is returned (row and
-column orthogonality, each one batch of `cyc_gram`); nothing downstream ever
-sees an unchecked table.
+An abelian group skips all of that: its table is the dual group
+Hom(G, mu_e), written down along the generators as integer exponents of
+zeta_e (`_dual_rows`).  The rows of either path are ordered the same way.
+
+Every finished table, from either path, is re-verified exactly before it is
+returned (row and column orthogonality, each one batch of `cyc_gram`);
+nothing downstream ever sees an unchecked table.
 """
 
 from __future__ import annotations
@@ -326,21 +330,76 @@ def table_stats(table):
 
 @kept_on("_chartable")
 def character_table(G):
-    """Exact character table of G (`kept_on` the group).  Equal values are
-    one object: one per (conductor, coefficients) in the table."""
+    """Exact character table of G (`kept_on` the group): the dual group if G
+    is abelian, otherwise the eigenspace split.  Equal values are one object:
+    one per (conductor, coefficients) in the table."""
+    return _table(G, _dual_rows if G.is_abelian() else _eigenspace_rows)
+
+
+def _table(G, row_source):
+    """The verified table of G from the rows that row_source(cd, e) lifts."""
     cd = conjugacy_classes(G)
     e = lcm(*cd.element_orders)
-    p = dixon_prime(e, G.order)
     shared = {}
     rows = [
-        [shared.setdefault((v.conductor, v.coeffs), v) for v in _lift_row(cd, w, e, p)]
-        for w in _split_eigenspaces(cd, p)
+        [shared.setdefault((v.conductor, v.coeffs), v) for v in row]
+        for row in row_source(cd, e)
     ]
     rows = _order_rows(rows, e, shared)
     degrees = tuple(r[0].to_rational_integer() for r in rows)
     table = CharacterTable(G, cd, e, tuple(tuple(r) for r in rows), degrees)
     _verify_table(table)
     return table
+
+
+def _eigenspace_rows(cd, e):
+    """The rows of any G: split the class matrices mod the Dixon prime, lift."""
+    p = dixon_prime(e, cd.group.order)
+    return [_lift_row(cd, w, e, p) for w in _split_eigenspaces(cd, p)]
+
+
+def _dual_rows(cd, e):
+    """The rows of an abelian G as its dual group Hom(G, mu_e) (Serre 1977,
+    section 3.1), built along the generators.
+
+    With K the group generated so far and m the least exponent with
+    g^m in K, each character chi of K extends in exactly m ways,
+    chi'(k g^j) = chi(k) + j w, one per solution w of m w = chi(g^m) mod e.
+    Values are exponents of zeta_e until the end, where each distinct one
+    becomes one root of unity of its class's element order.
+    """
+    G = cd.group
+    elements = [0]  # K, listed
+    rows = [[0]]  # each character of K as exponents, aligned with elements
+    for g in G.generator_indices:
+        where = dict(zip(elements, range(len(elements))))
+        powers = [0]  # g^j for j < m
+        x = g
+        while x not in where:
+            powers.append(x)
+            x = G.mult(x, g)
+        m = len(powers)
+        if m == 1:
+            continue
+        at = where[x]
+        extended = []
+        for chi in rows:
+            a, r = divmod(chi[at], m)
+            if r:
+                raise InternalInconsistency("character value at g^m has no m-th root")
+            for w in range(a, a + e, e // m):
+                extended.append([(c + j * w) % e for j in range(m) for c in chi])
+        elements = [G.mult(k, h) for h in powers for k in elements]
+        rows = extended
+    if len(elements) != G.order:
+        raise InternalInconsistency("generators do not reach every element")
+    where = dict(zip(elements, range(len(elements))))
+    cols = [(where[r], n) for r, n in zip(cd.rep_indices, cd.element_orders)]
+    value = {
+        (n, x): Cyclotomic.from_terms(n, {x * n // e: 1}) if n > 1 else Cyclotomic.from_int(1)
+        for n, x in {(n, chi[c]) for chi in rows for c, n in cols}
+    }
+    return [[value[n, chi[c]] for c, n in cols] for chi in rows]
 
 
 def _split_eigenspaces(cd, p):

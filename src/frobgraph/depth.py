@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistency, NotProper
 from .frobenius import frobenius_matrix
-from .graph import frobenius_graph
+from .graph import _adjacency, _distance_rows
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,13 @@ def minimal_depth(G, H):
     """Depth report for a proper subgroup H of G (nontrivial core allowed)."""
     if H.order == G.order:
         raise NotProper("depth is defined for proper subgroups")
-    graph = frobenius_graph(frobenius_matrix(G, H))
-    n_left = graph.n_left
-    if not all(graph.adjacency[n_left:]):
+    M = frobenius_matrix(G, H)
+    adjacency = _adjacency(M)
+    n_left = M.n_cols
+    if not all(adjacency[n_left:]):
         raise InternalInconsistency("induced character with zero norm")
-    rows = graph.distances[n_left:]
+    # only the rows of the Irr(H) vertices are read, so only they are searched
+    rows = _distance_rows(adjacency, range(n_left, len(adjacency)))
     # the finite distances between characters of H, and the largest to one of G
     hh = sorted(d for dist in rows for d in dist[n_left:] if d >= 0)
     d_hh, d_hg = hh[-1], max(max(dist[:n_left]) for dist in rows)

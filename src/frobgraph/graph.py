@@ -62,7 +62,7 @@ def _adjacency(M):
     """Neighbour lists of the graph of F(G, H), numbered as in FrobeniusGraph.
 
     Column vertex c and row vertex n_left + r are joined exactly when entry
-    (r, c) of M is nonzero; every list is in increasing vertex order.
+    (r, c) of M is nonzero; every list is a tuple in increasing vertex order.
     """
     n_left = M.n_cols
     adjacency = [[] for _ in range(n_left + M.n_rows)]
@@ -71,7 +71,7 @@ def _adjacency(M):
             if m:
                 adjacency[c].append(n_left + r)
                 adjacency[n_left + r].append(c)
-    return adjacency
+    return tuple(map(tuple, adjacency))
 
 
 def _bfs(adjacency, start):
@@ -93,20 +93,29 @@ def _bfs(adjacency, start):
     return dist
 
 
+def _distance_rows(adjacency, vertices):
+    """The distance row of each of the vertices.  Vertices with the same
+    neighbours, at least one, are 2 apart and equally far from all others:
+    one search serves them all."""
+    rows, first = [], {}
+    for v in vertices:
+        key = adjacency[v] or v
+        if key in first:
+            u, dist = first[key]
+            row = list(dist)
+            row[u], row[v] = 2, 0
+        else:
+            row = _bfs(adjacency, v)
+            first[key] = (v, row)
+        rows.append(row)
+    return rows
+
+
 def frobenius_graph(M):
     """Distances, components, eccentricities and diameter of the graph of
     F(G, H).  Not kept on M: each graph holds |Irr(G) + Irr(H)|^2 distances."""
-    adjacency = tuple(map(tuple, _adjacency(M)))
-    # Vertices with the same neighbours, at least one (common among characters
-    # of G), are 2 apart and equally far from all others: one search serves all.
-    distances, first = [], {}
-    for v, nbrs in enumerate(adjacency):
-        u = first.setdefault(nbrs or v, v)
-        if u == v:
-            distances.append(_bfs(adjacency, v))
-        else:
-            distances.append(list(distances[u]))
-            distances[v][u], distances[v][v] = 2, 0
+    adjacency = _adjacency(M)
+    distances = _distance_rows(adjacency, range(len(adjacency)))
     # components numbered by least vertex: the first not yet numbered starts one
     component, n_comp = [-1] * len(adjacency), 0
     for v, dist in enumerate(distances):

@@ -4,11 +4,17 @@ from math import lcm
 import pytest
 from helpers import deadline, group
 
+import frobgraph.chartab as chartab
+from frobgraph.catalog import SCAN_SPECS, construct
 from frobgraph.chartab import (
+    CharacterTable,
+    _eigenspace_rows,
     _lift_row,
     _poly_roots_mod,
     _primitive_root,
     _split_eigenspaces,
+    _table,
+    _verify_table,
     character_table,
     class_multiplication_coefficients,
     dixon_prime,
@@ -16,8 +22,9 @@ from frobgraph.chartab import (
 )
 from frobgraph.cyclo import Cyclotomic
 from frobgraph.errors import InternalInconsistency
-from frobgraph.group import conjugacy_classes
+from frobgraph.group import conjugacy_classes, group_from_generators
 from frobgraph.perm import Permutation
+from frobgraph.subgroups import enumerate_subgroup_classes
 
 
 def test_class_coefficients_identity():
@@ -260,10 +267,77 @@ def test_lift_refuses_a_linear_character_that_is_not_a_homomorphism():
         _lift_row(cd, tampered, e, p)
 
 
-@pytest.mark.parametrize("spec", ["C64", "EA:2:6", "C5xC5xC4"])
+def _same_table(a, b):
+    return (a.values, a.degrees, a.exponent) == (b.values, b.degrees, b.exponent)
+
+
+@pytest.mark.parametrize("spec", ["C32", "C64", "EA:2:6", "C5xC5xC4", "EA:5:3"])
 def test_abelian_tables_have_one_class_per_element(spec):
-    # every character of an abelian group is linear, so the whole table is
-    # lifted on the O(n) path
-    t = character_table(group(spec))
-    assert t.k == t.group.order
+    # every character of an abelian group is linear: the table is the dual
+    # group, built along the generators, and equals the eigenspace path's
+    G = group(spec)
+    t = character_table(G)
+    assert t.k == G.order
     assert set(t.degrees) == {1}
+    assert _same_table(t, _table(G, _eigenspace_rows))
+
+
+def test_dual_group_tables_of_every_abelian_scan_class():
+    # the abelian proper subgroups of every scanned catalog group: the same
+    # rows, in the same order, by either path
+    checked = 0
+    for spec in SCAN_SPECS:
+        G = construct(spec)
+        for c in enumerate_subgroup_classes(G):
+            H = c.rep.as_group()
+            if H.order < G.order and H.is_abelian():
+                assert _same_table(character_table(H), _table(H, _eigenspace_rows)), (spec, c.order)
+                checked += 1
+    assert checked > 100
+
+
+def test_abelian_tables_never_split_eigenspaces(monkeypatch):
+    def refuse(cd, e):
+        raise AssertionError("eigenspace split on an abelian group")
+
+    monkeypatch.setattr(chartab, "_eigenspace_rows", refuse)
+    # a fresh group object, so that no kept table answers
+    G = group_from_generators(6, [Permutation.from_cycles(6, [(0, 1, 2, 3)]),
+                                  Permutation.from_cycles(6, [(4, 5)])])
+    assert character_table(G).k == 8
+
+
+def _tampered(table, r, row):
+    values = list(table.values)
+    values[r] = tuple(row)
+    return CharacterTable(table.group, table.classes, table.exponent, tuple(values), table.degrees)
+
+
+def test_verification_refuses_a_dual_row_with_a_wrong_root():
+    # C4 x C2 = <g> x <h>: the character trivial on K = <g> extends to h by
+    # a w with 2w = 0 mod 4, so w is 0 or 2; w = 1 puts zeta_4 on the coset
+    # hK, a root of unity at every class but no homomorphism
+    G = group("C4xC2")
+    t = character_table(G)
+    g = next(x for x in range(G.order) if G.element_order(x) == 4)
+    K = {G.power(g, j) for j in range(4)}
+    in_K = [x in K for x in t.classes.rep_indices]
+    r = next(
+        i for i, row in enumerate(t.values)
+        if all(v == (1 if k else -1) for v, k in zip(row, in_K))
+    )
+    wrong = [Cyclotomic.from_int(1) if k else Cyclotomic.zeta(4) for k in in_K]
+    _verify_table(t)
+    with pytest.raises(InternalInconsistency, match="orthogonality"):
+        _verify_table(_tampered(t, r, wrong))
+
+
+def test_verification_refuses_a_dual_row_with_two_entries_swapped():
+    # two values of a nontrivial row of EA:3:2 at classes of the same
+    # element order: the row keeps norm 1 and every value a cube root of 1
+    t = character_table(group("EA:3:2"))
+    row = list(t.values[1])
+    i, j = next((i, j) for i in range(1, t.k) for j in range(i + 1, t.k) if row[i] != row[j])
+    row[i], row[j] = row[j], row[i]
+    with pytest.raises(InternalInconsistency, match="orthogonality"):
+        _verify_table(_tampered(t, 1, row))
