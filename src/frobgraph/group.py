@@ -726,17 +726,24 @@ def derived_subgroup_of(H):
     return Subgroup(H.parent, members)
 
 
+@kept_on("_solvable_residual")
+def solvable_residual(G):
+    """The last term D of the derived series, as (indices, generator indices)
+    (`kept_on` the group).  D is perfect and holds every perfect subgroup,
+    since the derived series of a perfect subgroup stays at that subgroup."""
+    members, gens = frozenset(range(G.order)), G.generator_indices
+    while len(members) > 1:
+        D = derived_subset(G, gens)
+        if len(D) == len(members):
+            break
+        members, gens = D, _greedy_generators(G, D)
+    return members, gens
+
+
 @kept_on("_solvable")
 def is_solvable(G):
     """Derived series terminates at the trivial subgroup (`kept_on` the group)."""
-    gens = G.generator_indices
-    size = G.order
-    while True:
-        D = derived_subset(G, gens)
-        if len(D) in (1, size):
-            return len(D) == 1
-        size = len(D)
-        gens = _greedy_generators(G, D)
+    return len(solvable_residual(G)[0]) == 1
 
 
 def subgroups_conjugate(G, H1, H2):

@@ -7,6 +7,13 @@ z^p in H for a prime p.  Every subgroup sits above its perfect core through
 a chain of such prime extensions, so the sweep is complete.  Conjugacy
 dedup keeps the full orbit of every discovered class in one hash set, so a
 repeat candidate costs one lookup.
+
+Two facts bound the perfect seeds.  Every perfect subgroup P lies in the
+solvable residual D, the last term of the derived series, since P = P'
+lies in every term.  A perfect group has no subgroup of index 2, 3 or 4,
+since its action on the cosets would map it onto a nontrivial perfect
+subgroup of the solvable S2, S3 or S4.  So seeding pairs are taken in D,
+and a closure is cut off once its index in D falls below 5: it is then D.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .group import (
     orbit,
     orbit_partition,
     right_multiplications,
+    solvable_residual,
     _greedy_generators,
 )
 
@@ -127,6 +135,15 @@ class _Enumerator:
     def _seed_perfect(self):
         """Perfect subgroups by two-generator closure over class-rep pairs.
 
+        Two facts bound the search.  Every perfect subgroup P lies in the
+        solvable residual D: P = P' = P'' = ... lies in every term of the
+        derived series.  A perfect group has no subgroup of index 2, 3 or 4:
+        its action on the cosets maps it to a perfect subgroup of S2, S3 or
+        S4, which is trivial as those groups are solvable, so the subgroup
+        holds the kernel, the whole group.  So both generators are taken in
+        D, a closure stops past the largest registrable order of index at
+        least 5 in D, and a pair of D whose closure passes |D|/5 generates D.
+
         Complete as long as every perfect subgroup is 2-generated, which
         holds well beyond the desk cap; the guard below refuses the first
         order where a product of two simple factors could fit.
@@ -136,24 +153,35 @@ class _Enumerator:
             raise DeskScaleExceeded(
                 "perfect-subgroup seeding is only guaranteed below order 3600"
             )
-        # the largest order registered below: a proper divisor of |G|, at
-        # least 60 and divisible by 12; a closure past it is skipped
-        cap = max((d for d in range(60, G.order // 2 + 1, 12) if G.order % d == 0), default=0)
-        if not cap:
+        D = solvable_residual(G)[0]
+        order = len(D)
+        # the largest order registered below: a divisor of |D| of index at
+        # least 5, at least 60 and divisible by 12; a closure past it is skipped
+        cap = max((d for d in range(60, order // 5 + 1, 12) if order % d == 0), default=0)
+        # until D is registered, closures run to |D|/5, and one past it is D
+        pending = order < G.order
+        if not (cap or pending):
             return
         cd = conjugacy_classes(G)
         for i in range(1, len(cd)):
             x = cd.rep_indices[i]
+            if x not in D:
+                continue
             cyclic_x = closure_indices(G, (x,))
             cent = frozenset(conjugators(G, (x,), (x,)))
             cent_gens = _greedy_generators(G, cent)
             # one y per orbit of the centralizer of x acting by conjugation
             for points in orbit_partition(G.order, conjugations(G, cent_gens)):
                 y = points[0]
-                if y in cyclic_x:
+                if y in cyclic_x or y not in D:
                     continue
-                members = orbit(0, right_multiplications(G, (x, y)), cap)
+                members = orbit(0, right_multiplications(G, (x, y)), order // 5 if pending else cap)
                 if members is None:
+                    if pending:
+                        self.register(D, (x, y))
+                        pending = False
+                        if not cap:
+                            return
                     continue
                 n = len(members)
                 if n < 60 or n % 12:
