@@ -37,7 +37,7 @@ from math import isqrt, lcm
 
 from .cyclo import Cyclotomic, cyc_gram, is_prime
 from .errors import InternalInconsistency
-from .group import conjugacy_classes, derived_order, kept_on, right_products
+from .group import conjugacy_classes, derived_order, kept_on, powers, right_products
 from .smallfield import _least_of_order, _poly_divmod, _poly_gcd, _poly_monic, _poly_powmod
 
 # ----------------------------------------------------------------------
@@ -373,15 +373,11 @@ def _dual_rows(cd, e):
     rows = [[0]]  # each character of K as exponents, aligned with elements
     for g in G.generator_indices:
         where = dict(zip(elements, range(len(elements))))
-        powers = [0]  # g^j for j < m
-        x = g
-        while x not in where:
-            powers.append(x)
-            x = G.mult(x, g)
-        m = len(powers)
+        gs = powers(G, g, where)  # g^j for j < m
+        m = len(gs)
         if m == 1:
             continue
-        at = where[x]
+        at = where[G.mult(gs[-1], g)]
         extended = []
         for chi in rows:
             a, r = divmod(chi[at], m)
@@ -389,7 +385,7 @@ def _dual_rows(cd, e):
                 raise InternalInconsistency("character value at g^m has no m-th root")
             for w in range(a, a + e, e // m):
                 extended.append([(c + j * w) % e for j in range(m) for c in chi])
-        elements = [G.mult(k, h) for h in powers for k in elements]
+        elements = [G.mult(k, h) for h in gs for k in elements]
         rows = extended
     if len(elements) != G.order:
         raise InternalInconsistency("generators do not reach every element")

@@ -15,19 +15,19 @@ against the order cap before any element is listed; the elements are the
 transversal products, each level composed in C.  `normal_closure_order`
 reads a subgroup's order off such a chain without listing it.
 
-Index arithmetic has two paths, chosen once per group from its order and
-bound when the group is built.  Up to order _TABLE_MAX_ORDER (2048) a
-right-multiplication table of uint16 rows is built with the group, 2 n^2
-bytes (8.4 MB at the cutoff), and products, inverses and conjugates are
-lookups.  Larger groups look products up by base image.  A base is a few
-points whose images tell the elements apart (3 of the q + 1 points for
-PSL(2, q)); one dict maps each element's base image to its index, and a
-product's base image is read from the factors' images with
-`operator.itemgetter`.  Inverses are an array on both paths, and both
-return the same indices.  Nothing outside this module sees the table or
-the base: callers use `mult`, `inverse`, `conj`, `conj_map`, `position`,
-the step helpers `right_multiplications` and `conjugations`, and
-`right_products`, which composes many products by one element at once.
+Index arithmetic has two paths, chosen once per group, by its order, in
+`PermGroup.__init__`: the only code that reads _TABLE_MAX_ORDER (2048).
+Up to that order a right-multiplication table of uint16 rows is built with
+the group, 2 n^2 bytes (8.4 MB at the cutoff), and products, inverses and
+conjugates are lookups.  Larger groups look products up by base image.  A
+base is a few points whose images tell the elements apart (3 of the q + 1
+points for PSL(2, q)); one dict maps each element's base image to its
+index, and a product's base image is read from the factors' images with
+`operator.itemgetter`.  Both paths return the same indices.  `__init__`
+binds every operation that differs between them, and nothing else sees
+the table or the base: callers use those operations and the helpers built
+on them (`conj_map`, `right_multiplications`, `conjugations`,
+`right_products`), and `powers`, the one walk along an element's powers.
 
 Whole rows are composed in C.  `_gather(src, idx)` is one
 `operator.itemgetter(*idx)` applied to a tuple; table rows and conjugation
@@ -42,7 +42,7 @@ from __future__ import annotations
 import struct
 from array import array
 from dataclasses import dataclass
-from functools import wraps
+from functools import partial, wraps
 from itertools import chain as concat, combinations
 from math import inf
 from operator import itemgetter
@@ -80,10 +80,13 @@ class PermGroup:
     character table, derived subgroup) is computed on first use and kept on
     the group by `kept_on`.
 
-    `__init__` takes generators and elements as image tuples and binds the
-    arithmetic: table rows and `index` (image tuple -> index) up to order
-    2048, a `base` and `_at` (base image -> index) above.  Either dict must
-    have one key per element.
+    `__init__` takes generators and elements as image tuples and chooses
+    the representation, once: table rows and `index` (image tuple -> index)
+    up to order 2048, a `base` and `_at` (base image -> index) above.
+    Either dict must have one key per element.  It binds the seven
+    operations that differ between the two: `mult`, `inverse`, `conj`,
+    `position` (index of an image tuple, None if it is not in G), `_row`,
+    `_right` and `_right_products`.
     """
 
     def __init__(self, degree, generators, elements):
@@ -98,28 +101,44 @@ class PermGroup:
         gens = tuple(generators)
         if not gens and n > 1:
             raise InternalInconsistency("nontrivial group needs generators")
-        self._rows = self._keys = None
-        if n <= _TABLE_MAX_ORDER:
-            keyed = self.index = dict(zip(els, range(n)))
-        else:
-            self.base = _base(els)
-            self._key = itemgetter(*self.base)
-            keys = self._keys = list(map(self._key, els))
-            keyed = at = self._at = dict(zip(keys, range(n)))
-        if len(keyed) != n:
-            raise InternalInconsistency("repeated element in element list")
-        self.generator_indices = tuple(map(self.position, gens)) if gens else (0,)
-        if None in self.generator_indices:
-            raise InternalInconsistency("generator missing from element list")
+
+        def find_generators(keyed):
+            if len(keyed) != n:
+                raise InternalInconsistency("repeated element in element list")
+            self.generator_indices = tuple(map(self.position, gens)) if gens else (0,)
+            if None in self.generator_indices:
+                raise InternalInconsistency("generator missing from element list")
+
         # the arithmetic, bound once: mult(a, b) is the index of
         # elements[a] * elements[b] (b acts first), inverse(a) that of
-        # elements[a]^-1 and conj(g, x) that of g x g^-1
-        if self._keys is None:
+        # elements[a]^-1, conj(g, x) that of g x g^-1, _row(b) the sequence
+        # x -> mult(x, b), _right(g) the step x -> mult(x, g) and
+        # _right_products(xs, t) the tuple of mult(x, t) for x in xs
+        if n <= _TABLE_MAX_ORDER:
+            self.index = dict(zip(els, range(n)))
+            self.position = self.index.get
+            find_generators(self.index)
             rows = self._rows = _right_multiplication_rows(self)
             inv = array("H", [r.index(0) for r in rows])
             self.mult = lambda a, b: rows[b][a]
             self.conj = lambda g, x: rows[inv[g]][rows[x][g]]
+            self._row = rows.__getitem__
+            self._right = lambda g: rows[g].__getitem__
+            self._right_products = lambda xs, t: _gather(rows[t], xs)
         else:
+            self._rows = None
+            self.base = _base(els)
+            key = self._key = itemgetter(*self.base)
+            keys = list(map(key, els))
+            at = self._at = dict(zip(keys, range(n)))
+
+            def position(images):
+                # the base image names the only candidate; the full tuple must match it
+                i = at.get(key(images)) if len(images) == degree else None
+                return i if i is not None and els[i] == images else None
+
+            self.position = position
+            find_generators(at)
             # g^-1 sends b to the point g sends to b
             inv = array("H", [at[tuple(map(im.index, self.base))] for im in els])
             self.mult = lambda a, b: at[itemgetter(*keys[b])(els[a])]
@@ -127,20 +146,24 @@ class PermGroup:
             self.conj = lambda g, x: at[
                 itemgetter(*itemgetter(*keys[inv[g]])(els[x]))(els[g])
             ]
+            # one array built with a single itemgetter
+            self._row = lambda b: array("H", map(at.__getitem__, map(itemgetter(*keys[b]), els)))
+
+            def right(g):
+                # composed per point visited, so a small closure pays for no whole row
+                gather = itemgetter(*keys[g])
+                return lambda x: at[gather(els[x])]
+
+            self._right = right
+            self._right_products = lambda xs, t: tuple(
+                map(at.__getitem__, map(itemgetter(*keys[t]), _gather(els, xs)))
+            )
         self._inverses = inv
         self.inverse = inv.__getitem__
 
     @property
     def generators(self):
         return tuple(Permutation.trusted(self.elements[i]) for i in self.generator_indices)
-
-    def _row(self, b):
-        """Sequence x -> mult(x, b) over all x: a table row, or above the
-        cutoff one array built with a single itemgetter."""
-        if self._keys is None:
-            return self._rows[b]
-        right = itemgetter(*self._keys[b])
-        return array("H", map(self._at.__getitem__, map(right, self.elements)))
 
     def conj_map(self, g):
         """Map x -> g x g^-1 as a sequence indexed by x; cached for generators."""
@@ -155,24 +178,12 @@ class PermGroup:
                 self._conj_maps[g] = cm
         return cm
 
-    def position(self, images):
-        """Index of the element with these images, or None if it is not in G.
-
-        Above the cutoff the base image names the only candidate, and the
-        full tuple must match it.
-        """
-        if self._keys is None:
-            return self.index.get(images)
-        if len(images) != self.degree:
-            return None
-        i = self._at.get(self._key(images))
-        return i if i is not None and self.elements[i] == images else None
-
     def power(self, a, k):
-        return self.position((Permutation.trusted(self.elements[a]) ** k).images)
+        zs = powers(self, a)
+        return zs[k % len(zs)]
 
     def element_order(self, a):
-        return Permutation.trusted(self.elements[a]).order()
+        return len(powers(self, a))
 
     def is_abelian(self):
         gi = self.generator_indices
@@ -353,35 +364,34 @@ def closure_indices(G, gen_indices):
 
 
 def right_multiplications(G, gen_indices):
-    """Steps x -> x * g; their orbit from 0 is the subgroup generated.
-
-    Above the cutoff each step holds one itemgetter and composes per point
-    visited, so a small closure in a large group does not pay for whole rows.
-    """
-    if G._keys is None:
-        return [G._rows[g].__getitem__ for g in gen_indices]
-    imgs = G.elements
-    at = G._at
-    keys = G._keys
-    return [
-        lambda x, right=itemgetter(*keys[g]): at[right(imgs[x])]
-        for g in gen_indices
-    ]
+    """Steps x -> x * g; their orbit from 0 is the subgroup generated."""
+    return list(map(G._right, gen_indices))
 
 
 def right_products(G, xs, t):
-    """The tuple of indices of x * t for x in xs (nonempty), composed in C:
-    one gather from table row t, or above the cutoff one gather of the
-    factors' images, each read at t's base image and looked up."""
-    if G._keys is None:
-        return _gather(G._rows[t], xs)
-    right = itemgetter(*G._keys[t])
-    return tuple(map(G._at.__getitem__, map(right, _gather(G.elements, xs))))
+    """The tuple of indices of x * t for x in xs (nonempty), composed in C."""
+    return G._right_products(xs, t)
 
 
 def conjugations(G, gen_indices):
     """Steps x -> g x g^-1; their orbits are the classes under <gen_indices>."""
     return [G.conj_map(g).__getitem__ for g in gen_indices]
+
+
+def powers(G, z, stop=(0,)):
+    """[z^0, ..., z^(m-1)] as indices, for the least m >= 1 with z^m in stop.
+
+    stop is any container of indices, tested with `in`, that holds some
+    power of z, or the walk does not end.  The default, the identity alone,
+    makes m the order of z; a subgroup's index set gives z's least power in it.
+    """
+    step = G._right(z)
+    out = [0]
+    x = z
+    while x not in stop:
+        out.append(x)
+        x = step(x)
+    return out
 
 
 def orbit(start, steps, cap=None):
@@ -523,15 +533,8 @@ def conjugacy_classes(G):
     if sum(sizes) != n:
         raise InternalInconsistency("class sizes do not sum to the group order")
     cents = tuple(n // s for s in sizes)
-    # walk r^t until it returns to the identity: the row length is the order
-    pmap = []
-    for r in reps:
-        row = [class_of[0]]
-        x = r
-        while x:
-            row.append(class_of[x])
-            x = G.mult(x, r)
-        pmap.append(tuple(row))
+    # the row of r lists the classes of r^0 ... r^(o-1): its length is the order
+    pmap = [tuple(map(class_of.__getitem__, powers(G, r))) for r in reps]
     orders = tuple(map(len, pmap))
     return ClassData(
         group=G,
@@ -689,7 +692,8 @@ def derived_subset(G, gen_indices):
     """
     comms = {_commutator(G, a, b) for a, b in combinations(gen_indices, 2)} - {0}
     steps = right_multiplications(G, sorted(comms))
-    steps += conjugations(G, gen_indices)
+    # point by point: a small subgroup pays for no whole conjugation map
+    steps += [partial(G.conj, g) for g in gen_indices]
     return frozenset(orbit(0, steps))
 
 

@@ -36,6 +36,7 @@ from .group import (
     normalizer,
     orbit,
     orbit_partition,
+    powers,
     right_multiplications,
     solvable_residual,
     _greedy_generators,
@@ -116,19 +117,12 @@ class _Enumerator:
             if z in covered:
                 continue
             # least m with z^m in H; extension is useful only for prime m
-            m = 1
-            zp = z
-            while zp not in hset:
-                zp = G.mult(zp, z)
-                m += 1
-            if not is_prime(m):
+            zs = powers(G, z, hset)
+            if not is_prime(len(zs)):
                 continue
             members = set(hset)
-            zt = z
-            for _ in range(m - 1):
-                (step,) = right_multiplications(G, (zt,))
+            for step in right_multiplications(G, zs[1:]):
                 members.update(map(step, hset))
-                zt = G.mult(zt, z)
             covered.update(members)
             self.register(members, tuple(H.generator_indices) + (z,))
 

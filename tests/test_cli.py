@@ -250,10 +250,31 @@ def test_prime_order_selector(capsys):
     assert out.count("subgroup class") == 2  # one class each of order 2, 3
 
 
-def test_error_exit_code(capsys):
-    code, out, err = run_cli(capsys, "analyze", "--group", "NoSuch99x")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--group", "NoSuch99x"],
+        ["analyze", "--group", "S5"],
+        ["analyze"],
+        ["analyze", "--group", "S5", "--subgroup", "(0,1)"],
+        ["analyze", "--group", "S5", "--subgroup", "1,2"],
+        ["analyze", "--group", "S5", "--subgroup", ";"],
+        ["analyze", "--seed-file", "{comment_only}", "--prime-order"],
+    ],
+    ids=[
+        "unknown-group", "no-selector", "no-group", "zero-point", "no-parenthesis",
+        "empty-permutation", "no-degree-header",
+    ],
+)
+def test_error_exit_code(tmp_path, capsys, argv):
+    comment_only = tmp_path / "grp.txt"
+    comment_only.write_text("# generators of S5\n")
+    argv = [a.format(comment_only=comment_only) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert "error:" in err
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_show_tables(capsys):

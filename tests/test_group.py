@@ -401,10 +401,26 @@ def _check_arithmetic(G, pairs):
     for a in xs:
         assert E[G.inverse(a)] == E[a].inverse()
         assert list(G.conj_map(a)) == [G.conj(a, x) for x in range(G.order)]
+    for a in sorted({x for pair in pairs for x in pair}):
+        _check_position_and_powers(G, a)
     # a one-entry xs reaches the one-item gather
     for b in {b for _, b in pairs}:
         assert right_products(G, xs, b) == tuple(G.mult(a, b) for a in xs)
         assert right_products(G, xs[-1:], b) == (G.mult(xs[-1], b),)
+
+
+def _check_position_and_powers(G, a):
+    """position, power and element_order at element a against Permutation."""
+    images, p = G.elements[a], Permutation(G.elements[a])
+    assert G.position(images) == a
+    # a point out of range keeps the other images, and so maybe the base image
+    assert G.position(images[:-1] + (G.degree,)) is None
+    assert G.position(images[:-1]) is None
+    assert G.position(images + (G.degree,)) is None
+    order = p.order()
+    assert G.element_order(a) == order
+    for k in (-1, 0, 2, order + 1):
+        assert G.elements[G.power(a, k)] == (p ** k).images
 
 
 def _assert_uint16_rows(G):

@@ -51,6 +51,8 @@ def test_format_parse_roundtrip():
     assert parse_cycles(text, degree=5) == q
     assert format_cycles(Permutation.identity(4)) == "()"
     assert parse_cycles("()", degree=4) == Permutation.identity(4)
+    # whitespace between cycles is skipped
+    assert parse_cycles("(1,2) (3,4)", degree=5) == Permutation.from_cycles(5, [(0, 1), (2, 3)])
 
 
 def test_parse_errors():
@@ -60,6 +62,12 @@ def test_parse_errors():
         parse_cycles("(1,2)(2,3)", degree=4)  # repeated point
     with pytest.raises(ParseError):
         parse_cycles("(1,2", degree=4)  # unterminated
+    with pytest.raises(ParseError, match="1-based"):
+        parse_cycles("(0,1)", degree=4)
+    with pytest.raises(ParseError, match="expected '\\('"):
+        parse_cycles("1,2", degree=4)  # no parentheses
+    with pytest.raises(ParseError, match="empty permutation"):
+        parse_cycles("", degree=4)
     err = None
     try:
         parse_cycles("(1,x)", degree=4, line=3)
