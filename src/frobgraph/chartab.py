@@ -11,22 +11,32 @@ unique.  A linear character is read off as one root of unity per class and
 checked to be a homomorphism on the powers of the representative.
 
 The eigenvalues of a class matrix on a d-dimensional space are the roots
-mod p of its characteristic polynomial.  While p <= 6 * d * (bit length
-of p) they are found by scanning F_p, p*d steps; above that the roots are
-split out by gcds (Rabin 1980), about d^2 log p steps.  Which path runs
-depends on p and d, not on the size of the group: at p = 337 (SL(2, 7))
-the split takes d <= 6 and the scan d >= 7; at p = 6 841 (PSL(2, 19)) the
-split takes every d up to 87.  Of the factors 1 to 32 tried, 6 gave the
-least root-finding time over the searches of the benchmark workloads.
-Polynomials mod p and the primitive root's order test are `smallfield`'s.
+mod p of its characteristic polynomial.  While p <= 3 * d * (bit length
+of p) + 200 they are found by scanning F_p, p*d steps; above that the
+roots are split out by gcds (Rabin 1980), about d^2 log p steps plus a
+fixed cost per call, which the constant term counts.  Which path runs
+depends on p and d, not on the size of the group: at p = 241 (AGL(1, 16))
+the scan takes every d >= 2; at p = 337 (SL(2, 7)) the split takes
+d <= 5 and the scan d >= 6; at p = 6 841 (PSL(2, 19)) the split takes every
+d up to 170.  Both paths were timed on each of the 660 searches of one
+pass of the four benchmark workloads: this rule picks the faster one for
+all but one of the 103 (p, d) pairs among them, 39.4 ms of root finding
+per pass against 41.9 ms under the earlier rule p <= 6 * d * (bit length
+of p), on a 2-vCPU Xeon with Python 3.11.  Polynomials mod p and the
+primitive root's order test are `smallfield`'s.
 
 An abelian group skips all of that: its table is the dual group
 Hom(G, mu_e), written down along the generators as integer exponents of
 zeta_e (`_dual_rows`).  The rows of either path are ordered the same way.
 
-Every finished table, from either path, is re-verified exactly before it is
-returned (row and column orthogonality, each one batch of `cyc_gram`);
-nothing downstream ever sees an unchecked table.
+Every finished table is checked exactly before it is returned; nothing
+downstream ever sees an unchecked table.  An abelian group's table passes a
+certificate (`_certify_abelian`): each value is read back as a root of
+unity of its own conductor, each row must be a homomorphism on every
+(element, generator) pair, and the |G| rows must be distinct, which makes
+them all of Irr(G).  Every other table is re-verified by row and column
+orthogonality (`_verify_table`, each relation one batch of `cyc_gram`), the
+degree identities and the abelianization count.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import isqrt, lcm
+from operator import sub
 
 from .cyclo import Cyclotomic, cyc_gram, is_prime
 from .errors import InternalInconsistency
@@ -171,8 +182,9 @@ def _poly_roots_mod(poly, p):
     """The distinct roots in F_p of poly (monic of degree d >= 1, ascending
     coefficients), ascending.
 
-    Scanning F_p costs about p*d steps; it is kept while p <= 6*d*(bit
-    length of p), where it measured cheaper than the split.  Otherwise the
+    Scanning F_p costs about p*d steps; it is kept while p <= 3*d*(bit
+    length of p) + 200, where it measured cheaper than the split with its
+    fixed cost per call (two `_poly_powmod` runs).  Otherwise the
     linear factors are kept by g = gcd(poly, x^p - x) and split apart by
     gcd(g, (x + delta)^((p-1)/2) - 1) for delta = 0, 1, 2, ... (Rabin 1980),
     about d^2 log p steps.  Each delta that splits nothing is skipped by
@@ -180,7 +192,7 @@ def _poly_roots_mod(poly, p):
     apart, so the search ends.
     """
     d = len(poly) - 1
-    if p <= 6 * d * p.bit_length():
+    if p <= 3 * d * p.bit_length() + 200:
         roots = []
         for x in range(p):
             acc = 0
@@ -348,7 +360,7 @@ def _table(G, row_source):
     rows = _order_rows(rows, e, shared)
     degrees = tuple(r[0].to_rational_integer() for r in rows)
     table = CharacterTable(G, cd, e, tuple(tuple(r) for r in rows), degrees)
-    _verify_table(table)
+    (_certify_abelian if G.is_abelian() else _verify_table)(table)
     return table
 
 
@@ -510,6 +522,64 @@ def _order_rows(rows, e, shared):
     key = {c: v.key_at(e) for c, v in shared.items()}
     rest.sort(key=lambda r: (r[0].to_rational_integer(), [key[v.conductor, v.coeffs] for v in r]))
     return [trivial] + rest
+
+
+def _certify_abelian(table):
+    """The exact check of an abelian G's table, in place of `_verify_table`;
+    raises InternalInconsistency on any failure.
+
+    Each stored value is read back as a root of unity zeta_e^x, so each row
+    is a map x: G -> Z/e.  Every row must be a homomorphism,
+    x(rep_c g) = x(rep_c) + x(g) for each class c and generator g, and the
+    |G| rows must be distinct.  An abelian group of order n has exactly n
+    homomorphisms to C^x (Serre 1977, section 3.1), so the rows are all of
+    Irr(G): both orthogonality relations and the degree identities follow,
+    and each value is tied to its own element, which they do not ensure.
+    """
+    G = table.group
+    cd = table.classes
+    e = table.exponent
+    n = G.order
+    if len(cd) != n or any(s != 1 for s in cd.sizes) or len(table.values) != n:
+        raise InternalInconsistency("abelian table is not one class and one row per element")
+    if table.degrees != (1,) * n or any(len(row) != n for row in table.values):
+        raise InternalInconsistency("abelian table has a degree other than 1 or a short row")
+    distinct = {}  # id -> value, each value object once
+    for row in table.values:
+        distinct.update(zip(map(id, row), row))
+    roots = {}  # conductor -> {coefficients: exponent of zeta_e}
+    exponent = {}
+    for i, v in distinct.items():
+        if v.conductor not in roots:
+            roots[v.conductor] = _roots_of_unity(v.conductor, e)
+        exponent[i] = roots[v.conductor].get(v.coeffs)
+        if exponent[i] is None:
+            raise InternalInconsistency(f"{v} is not a root of unity of order dividing {e}")
+    rows = [tuple(map(exponent.__getitem__, map(id, row))) for row in table.values]
+    at = cd.class_of_index
+    for g in G.generator_indices:
+        times_g = [at[G.mult(r, g)] for r in cd.rep_indices]
+        c = at[g]
+        for x in rows:
+            # exponents lie in [0, e), so a difference is x(g) or x(g) - e
+            if not set(map(sub, map(x.__getitem__, times_g), x)) <= {x[c], x[c] - e}:
+                raise InternalInconsistency("abelian table row is not a homomorphism")
+    if len(set(rows)) != n:
+        raise InternalInconsistency("abelian table repeats a row")
+
+
+def _roots_of_unity(c, e):
+    """{coefficients: x} over the roots of unity zeta_e^x stored at conductor
+    c: the +-zeta_c^j of Q(zeta_c), the negatives only when e is even.  Empty
+    unless c divides e, as the conductor of every table value does."""
+    out = {}
+    if e % c == 0:
+        for j in range(c):
+            z = Cyclotomic.zeta(c, j)
+            out[z.coeffs] = j * (e // c)
+            if e % 2 == 0:
+                out[(-z).coeffs] = (j * (e // c) + e // 2) % e
+    return out
 
 
 def _verify_table(table):

@@ -5,6 +5,7 @@ import pytest
 from helpers import deadline, group
 
 import frobgraph.chartab as chartab
+import frobgraph.cli as cli
 from frobgraph.catalog import SCAN_SPECS, construct
 from frobgraph.chartab import (
     CharacterTable,
@@ -341,3 +342,157 @@ def test_verification_refuses_a_dual_row_with_two_entries_swapped():
     row[i], row[j] = row[j], row[i]
     with pytest.raises(InternalInconsistency, match="orthogonality"):
         _verify_table(_tampered(t, 1, row))
+
+
+# The certificate of abelian tables (`_certify_abelian`): each row read back
+# as exponents of zeta_e must be a homomorphism, and the |G| rows distinct.
+
+
+def _certificate_refuses(table):
+    with pytest.raises(InternalInconsistency):
+        chartab._certify_abelian(table)
+
+
+def test_certificate_refuses_the_wrong_root_and_the_swapped_entries():
+    # the two tampered rows that `_verify_table` refuses by orthogonality
+    G = group("C4xC2")
+    t = character_table(G)
+    g = next(x for x in range(G.order) if G.element_order(x) == 4)
+    K = {G.power(g, j) for j in range(4)}
+    in_K = [x in K for x in t.classes.rep_indices]
+    r = next(
+        i for i, row in enumerate(t.values)
+        if all(v == (1 if k else -1) for v, k in zip(row, in_K))
+    )
+    chartab._certify_abelian(t)
+    _certificate_refuses(_tampered(t, r, [Cyclotomic.from_int(1) if k else Cyclotomic.zeta(4) for k in in_K]))
+    t = character_table(group("EA:3:2"))
+    row = list(t.values[1])
+    i, j = next((i, j) for i in range(1, t.k) for j in range(i + 1, t.k) if row[i] != row[j])
+    row[i], row[j] = row[j], row[i]
+    _certificate_refuses(_tampered(t, 1, row))
+
+
+def test_certificate_refuses_a_column_swap_that_orthogonality_accepts():
+    # swapping two columns in every row keeps both orthogonality relations
+    # (every centralizer has order 9), but moves values off their elements
+    t = character_table(group("EA:3:2"))
+    i, j = 1, 2
+    swapped = []
+    for row in t.values:
+        row = list(row)
+        row[i], row[j] = row[j], row[i]
+        swapped.append(tuple(row))
+    tampered = CharacterTable(t.group, t.classes, t.exponent, tuple(swapped), t.degrees)
+    assert tampered.values != t.values
+    _verify_table(tampered)
+    _certificate_refuses(tampered)
+
+
+def test_certificate_refuses_a_duplicated_row():
+    t = character_table(group("C4xC2"))
+    _certificate_refuses(_tampered(t, 3, t.values[2]))
+
+
+@pytest.mark.parametrize("value", [
+    Cyclotomic.from_int(2),  # not a root of unity
+    Cyclotomic.from_terms(4, {0: 1, 1: 1}),  # 1 + zeta_4, nor is this
+    Cyclotomic.zeta(3),  # conductor 3 does not divide e = 4
+])
+def test_certificate_refuses_a_value_that_is_no_root_of_unity_of_order_dividing_e(value):
+    t = character_table(group("C4xC2"))
+    assert t.exponent == 4
+    row = list(t.values[5])
+    row[3] = value
+    with pytest.raises(InternalInconsistency, match="not a root of unity"):
+        chartab._certify_abelian(_tampered(t, 5, row))
+
+
+def test_certificate_refuses_a_table_one_row_short():
+    t = character_table(group("C4xC2"))
+    short = CharacterTable(t.group, t.classes, t.exponent, t.values[:-1], t.degrees[:-1])
+    _certificate_refuses(short)
+
+
+def test_orthogonality_accepts_every_certified_table():
+    # agreement: every table the certificate passes also passes both
+    # orthogonality relations and the degree identities
+    checked = 0
+    for spec in SCAN_SPECS:
+        G = construct(spec)
+        for c in enumerate_subgroup_classes(G):
+            H = c.rep.as_group()
+            if H.order < G.order and H.is_abelian():
+                _verify_table(character_table(H))
+                checked += 1
+    for spec in ("C32", "C64", "EA:2:6", "C5xC5xC4", "EA:5:3"):
+        _verify_table(character_table(group(spec)))
+    assert checked > 100
+
+
+def test_large_abelian_tables_are_quick():
+    # were about 3 s of CPU together while both orthogonality relations ran;
+    # fresh group objects, so that no kept table answers
+    fresh = []
+    for spec in ("EA:5:3", "C100", "C125"):
+        G = group(spec)
+        fresh.append(group_from_generators(G.degree, list(G.generators)))
+    with deadline(2):
+        assert [character_table(G).k for G in fresh] == [125, 100, 125]
+
+
+def test_scan_sends_abelian_tables_to_the_certificate_and_no_others(monkeypatch, capsys):
+    G = group("AGL1:16")
+    fresh = group_from_generators(G.degree, list(G.generators))
+    monkeypatch.setattr(cli, "construct", lambda spec, cap=None: fresh)
+    seen = {"certificate": [], "orthogonality": []}
+    certify, verify = chartab._certify_abelian, chartab._verify_table
+
+    def counted(name, check):
+        def run(table):
+            seen[name].append(table.group.is_abelian())
+            check(table)
+        return run
+
+    monkeypatch.setattr(chartab, "_certify_abelian", counted("certificate", certify))
+    monkeypatch.setattr(chartab, "_verify_table", counted("orthogonality", verify))
+    assert cli.main(["scan", "--group", "AGL1:16"]) == 0
+    capsys.readouterr()
+    assert all(seen["certificate"]) and not any(seen["orthogonality"])
+    groups = [c.rep.as_group() for c in enumerate_subgroup_classes(fresh)]
+    abelian = sum(H.is_abelian() for H in groups)
+    assert (len(seen["certificate"]), len(seen["orthogonality"])) == (abelian, len(groups) - abelian)
+    assert seen["certificate"] and seen["orthogonality"]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("spec", ["EA:2:10", "EA:3:6"])
+def test_table_of_an_elementary_abelian_group_of_order_about_a_thousand(spec, capsys):
+    # 1 024 and 729 classes; orthogonality alone ran past 40 s on these
+    with deadline(20):
+        assert cli.main(["table", "--group", spec]) == 0
+    # a title line, the class sizes, the element orders, then one row each
+    assert len(capsys.readouterr().out.splitlines()) == 3 + group(spec).order
+
+
+def test_root_finder_path_counts_the_split_fixed_cost(monkeypatch):
+    # timed on the benchmark searches: a cubic at p = 241 is cheaper to scan
+    # (the split's fixed cost per call dominates), a quartic at p = 331 and
+    # a quadratic at p = 6841 cheaper to split; the roots are the same
+    split = chartab._split_roots
+    calls = []
+    monkeypatch.setattr(chartab, "_split_roots", lambda *a: (calls.append(a[1]), split(*a))[1])
+    for p, roots in ((241, [1, 7, 9]), (331, [0, 2, 3, 5]), (6841, [4, 6840])):
+        f = _from_roots(roots, p)
+        assert _poly_roots_mod(f, p) == _scan_roots(f, p) == roots
+    assert sorted(set(calls)) == [331, 6841]  # split recurses, so p repeats
+
+
+def test_certificate_refuses_a_negated_value_when_the_exponent_is_odd():
+    # -zeta_3 has order 6, which does not divide e = 3
+    t = character_table(group("EA:3:2"))
+    row = list(t.values[1])
+    i = next(i for i, v in enumerate(row) if v != 1)
+    row[i] = -row[i]
+    with pytest.raises(InternalInconsistency, match="not a root of unity"):
+        chartab._certify_abelian(_tampered(t, 1, row))
