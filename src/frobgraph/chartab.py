@@ -314,13 +314,37 @@ class CharacterTable:
             conj[key] = shared.get((c.conductor, c.coeffs), c)
         return tuple(tuple(conj[v.conductor, v.coeffs] for v in row) for row in self.values)
 
+    def row_permutation(self, class_perm):
+        """Entry i is the row j with values[j][c] == values[i][class_perm[c]]
+        for every class c: the rows read through a permutation of the classes.
+
+        class_perm must preserve element orders, as conjugation by an element
+        of an overgroup does.  Every value in a column has the class's
+        element order as its conductor, so rows match by coefficients.
+        Raises InternalInconsistency when a permuted row is not in the table.
+        """
+        index = {tuple(v.coeffs for v in row): j for j, row in enumerate(self.values)}
+        perm = []
+        for row in self.values:
+            j = index.get(tuple(row[c].coeffs for c in class_perm))
+            if j is None:
+                raise InternalInconsistency("permuted character row not in table")
+            perm.append(j)
+        return perm
+
+    def _cells(self):
+        """The values as strings; each distinct value object is formatted once."""
+        distinct = {id(v): v for row in self.values for v in row}
+        text = {i: str(v) for i, v in distinct.items()}
+        return [list(map(text.__getitem__, map(id, row))) for row in self.values]
+
     def text(self):
         cd = self.classes
         head = ["class size"] + [str(s) for s in cd.sizes]
         head2 = ["elt order"] + [str(o) for o in cd.element_orders]
         rows = [head, head2]
-        for i, row in enumerate(self.values):
-            rows.append([f"X{i + 1}"] + [str(v) for v in row])
+        for i, cells in enumerate(self._cells()):
+            rows.append([f"X{i + 1}"] + cells)
         widths = [max(len(r[c]) for r in rows) for c in range(len(head))]
         return "\n".join(
             "  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in rows
@@ -332,7 +356,7 @@ class CharacterTable:
             "exponent": self.exponent,
             "class_sizes": list(self.classes.sizes),
             "element_orders": list(self.classes.element_orders),
-            "rows": [[str(v) for v in row] for row in self.values],
+            "rows": self._cells(),
         }
 
 

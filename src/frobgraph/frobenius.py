@@ -8,9 +8,12 @@ products of induced characters; the same numbers recomputed through the
 double-coset (Mackey) sum serve as an independent oracle.
 
 M is one `cyc_gram` batch: each distinct restricted column chi|_H against
-every conj(phi), so characters of G that agree on H cost one column.  The
-Mackey summands are one batch per double coset over the pairs of Irr(H),
-with repeated class pairs of the intersection folded into weights.
+every conj(phi), so characters of G that agree on H cost one column.  A
+Mackey summand depends only on the double coset's intersection, folded to
+H-class pairs with their counts.  Where g normalizes H it is read off the
+permutation of Irr(H) that conjugation by g induces; each other distinct
+folding is one batch over the pairs of Irr(H), its summands checked to be
+integers, counted as often as it occurs.
 """
 
 from __future__ import annotations
@@ -190,21 +193,39 @@ def _mackey_intersections(G, H):
 def _mackey_sums(G, H, pairs):
     """[phi_r^G, phi_s^G] for each (r, s) in pairs, as double-coset sums.
 
-    Each double coset is one batch over the pairs: its intersection pairs
-    (x, g x g^-1), folded to H-class pairs weighted by their count, are the
-    columns, and every summand is checked to be an integer."""
+    A double coset's summand depends only on its intersection I and the
+    pairs (x, g x g^-1) over I folded to H-class pairs with their counts, so
+    each distinct folding is summed once and counted as often as it occurs.
+    When I is all of H, g normalizes H and the folding is a permutation
+    sigma of H's classes: phi_s o sigma is a row pi(s) of the table
+    (`CharacterTable.row_permutation`), and the summand is 1 where r = pi(s)
+    and 0 elsewhere: the first orthogonality relation, which the table
+    passed exactly when it was made (`_verify_table`, or for an abelian H
+    `_certify_abelian`; Isaacs 1976, ch. 6).  Any other folding is one
+    `cyc_gram` batch over the pairs, the class pairs its weighted columns,
+    and each summand is checked to be an integer."""
     tH = character_table(H.as_group())
+    foldings = Counter(
+        (len(members), tuple(sorted(Counter(members).items())))
+        for members in _mackey_intersections(G, H)
+    )
     totals = [0] * len(pairs)
-    for members in _mackey_intersections(G, H):
-        folded = Counter(members)
-        rows_a = [[phi[cx] for cx, _ in folded] for phi in tH.values]
-        rows_b = [[psi[cy] for _, cy in folded] for psi in tH.conj_values()]
-        summands = cyc_gram(rows_a, rows_b, tuple(folded.values()), pairs)
+    for (size, folded), times in foldings.items():
+        if size == H.order:
+            # sorted by the class of x, one pair per class: sigma in class order
+            pi = tH.row_permutation([cy for (_, cy), _ in folded])
+            for t, (r, s) in enumerate(pairs):
+                if r == pi[s]:
+                    totals[t] += times
+            continue
+        rows_a = [[phi[cx] for (cx, _), _ in folded] for phi in tH.values]
+        rows_b = [[psi[cy] for (_, cy), _ in folded] for psi in tH.conj_values()]
+        summands = cyc_gram(rows_a, rows_b, [w for _, w in folded], pairs)
         for t, summand in enumerate(summands):
-            val, rem = divmod(summand.to_rational_integer(), len(members))
+            val, rem = divmod(summand.to_rational_integer(), size)
             if rem:
                 raise InternalInconsistency("Mackey summand is not an integer")
-            totals[t] += val
+            totals[t] += times * val
     return zip(pairs, totals)
 
 

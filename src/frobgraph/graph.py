@@ -140,30 +140,17 @@ def frobenius_graph(M):
 def irr_action_orbits(G, K):
     """Orbits of G, acting by conjugation, on the irreducible characters of K.
 
-    K must be normal in G.  Each generator of G permutes the classes of K;
-    the induced permutation of Irr(K) is read off by matching value rows.
-    Every value in a column has the class's element order as its conductor,
-    and conjugation preserves element orders, so rows match by coefficients.
+    K must be normal in G.  Each generator of G permutes the classes of K,
+    and through them the rows of K's table (`CharacterTable.row_permutation`).
     """
     if not K.is_normal():
         raise InternalInconsistency("irr_action_orbits requires a normal subgroup")
     tK = character_table(K.as_group())
-    cd = tK.classes
-    kk = tK.k
-    row_key = {tuple(v.coeffs for v in tK.values[i]): i for i in range(kk)}
     pos = K.sorted_indices()
     class_of = _hclass_of(K)
-    row_perms = []
+    steps = []
     for g in G.generator_indices:
-        class_perm = [class_of[G.conj(g, pos[r])] for r in cd.rep_indices]
-        perm = []
-        for i in range(kk):
-            permuted = tuple(tK.values[i][class_perm[c]].coeffs for c in range(kk))
-            j = row_key.get(permuted)
-            if j is None:
-                raise InternalInconsistency("permuted character row not in table")
-            perm.append(j)
-        row_perms.append(perm)
-    steps = [perm.__getitem__ for perm in row_perms]
-    orbits = [tuple(sorted(points)) for points in orbit_partition(kk, steps)]
+        class_perm = [class_of[G.conj(g, pos[r])] for r in tK.classes.rep_indices]
+        steps.append(tK.row_permutation(class_perm).__getitem__)
+    orbits = [tuple(sorted(points)) for points in orbit_partition(tK.k, steps)]
     return len(orbits), tuple(orbits)

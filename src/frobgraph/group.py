@@ -118,8 +118,8 @@ class PermGroup:
             self.index = dict(zip(els, range(n)))
             self.position = self.index.get
             find_generators(self.index)
-            rows = self._rows = _right_multiplication_rows(self)
-            inv = array("H", [r.index(0) for r in rows])
+            rows, inv = _right_multiplication_rows(self)
+            self._rows = rows
             self.mult = lambda a, b: rows[b][a]
             self.conj = lambda g, x: rows[inv[g]][rows[x][g]]
             self._row = rows.__getitem__
@@ -330,11 +330,13 @@ def _gather(src, idx):
 
 
 def _right_multiplication_rows(G):
-    """rows[b][x] = index of x * b, for every b.
+    """(rows, inv): rows[b][x] = index of x * b and inv[b] that of b^-1.
 
     Each generator's row comes from the image tuples; breadth-first search
     from the identity fills the rest, rows[b * g][x] = rows[g][rows[b][x]].
-    Rows are gathered as tuples and packed into uint16 arrays.
+    Rows are gathered as tuples and packed into uint16 arrays.  Only a
+    generator's inverse is searched for in its row; in the order the search
+    found them, (b * g)^-1 = g^-1 * b^-1 is read off the row of b^-1.
     """
     n = G.order
     index = G.index
@@ -346,16 +348,22 @@ def _right_multiplication_rows(G):
     rows = [None] * n
     rows[0] = array("H", range(n))
     found = [0]
+    words = []  # (b * g, b, g) in the order found
     for b in found:
         rb = packer.unpack(rows[b])
-        for rg in gen_rows:
+        for g, rg in zip(G.generator_indices, gen_rows):
             c = rg[b]
             if rows[c] is None:
                 rows[c] = array("H", packer.pack(*_gather(rg, rb)))
                 found.append(c)
+                words.append((c, b, g))
     if len(found) != n:
         raise InternalInconsistency("generators do not reach every element")
-    return rows
+    gen_inv = {g: rows[g].index(0) for g in G.generator_indices}
+    inv = array("H", [0]) * n
+    for c, b, g in words:
+        inv[c] = rows[inv[b]][gen_inv[g]]
+    return rows, inv
 
 
 def closure_indices(G, gen_indices):

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: conjugacy classes by
 raw double loops over image tuples, containment checks by set algebra, and
 matrix comparison up to row/column permutation by explicit search.
-`deadline` fails a test that runs too long rather than letting it hang.
+`deadline` fails a test that runs too long rather than letting it hang, and
+`tampered_table` builds a character table that no check has passed.
 """
 
 import signal
@@ -11,6 +12,7 @@ from contextlib import contextmanager
 from itertools import permutations as iter_permutations
 
 from frobgraph.catalog import construct, parse_group_spec
+from frobgraph.chartab import CharacterTable
 
 
 def group(spec_text):
@@ -36,6 +38,13 @@ def deadline(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def tampered_table(table, r, row):
+    """A copy of a character table with row r replaced, left unchecked."""
+    values = list(table.values)
+    values[r] = tuple(row)
+    return CharacterTable(table.group, table.classes, table.exponent, tuple(values), table.degrees)
 
 
 def brute_conjugacy_partition(G):

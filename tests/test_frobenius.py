@@ -1,11 +1,16 @@
+from collections import Counter
+
 import pytest
 
-from helpers import group, subgroup_of_order
+from helpers import group, subgroup_of_order, tampered_table
 
+import frobgraph.frobenius as frobenius
 from frobgraph.chartab import character_table
-from frobgraph.cyclo import cyc_sum
-from frobgraph.errors import NotProper
+from frobgraph.cyclo import Cyclotomic, cyc_gram, cyc_sum
+from frobgraph.errors import InternalInconsistency, NotProper
 from frobgraph.frobenius import (
+    _mackey_intersections,
+    _mackey_sums,
     bii_shortcuts,
     double_coset_reps,
     frobenius_matrix,
@@ -17,8 +22,9 @@ from frobgraph.frobenius import (
     permutation_character,
     satisfies_bii,
 )
-from frobgraph.group import core, coset_action
+from frobgraph.group import core, coset_action, normalizer
 from frobgraph.perm import Permutation
+from frobgraph.subgroups import enumerate_subgroup_classes
 
 
 def s2_in_s3():
@@ -145,6 +151,75 @@ def test_mackey_equals_gram_small_sweep():
             for i in range(k):
                 for j in range(k):
                     assert mackey_inner_product(G, cls.rep, i, j) == S.entries[i][j]
+
+
+def _gram_per_double_coset(G, H, pairs):
+    """Reference Mackey sums: one cyc_gram per double coset, none shared and
+    no summand read off a permutation of Irr(H)."""
+    tH = character_table(H.as_group())
+    totals = [0] * len(pairs)
+    for members in _mackey_intersections(G, H):
+        folded = Counter(members)
+        rows_a = [[phi[cx] for cx, _ in folded] for phi in tH.values]
+        rows_b = [[psi[cy] for _, cy in folded] for psi in tH.conj_values()]
+        summands = cyc_gram(rows_a, rows_b, tuple(folded.values()), pairs)
+        for t, summand in enumerate(summands):
+            val, rem = divmod(summand.to_rational_integer(), len(members))
+            assert rem == 0
+            totals[t] += val
+    return list(zip(pairs, totals))
+
+
+def test_mackey_sums_match_one_gram_per_double_coset():
+    kinds = set()
+    for name in ("Named:G351", "AGL1:13", "SL2:7", "PSL2:11", "S4", "A5"):
+        G = group(name)
+        for cls in enumerate_subgroup_classes(G):
+            H = cls.rep
+            if H.is_whole():
+                continue
+            kinds.add("trivial" if H.is_trivial() else "normal" if H.is_normal() else
+                      "self-normalizing" if normalizer(G, H).order == H.order else "other")
+            k = character_table(H.as_group()).k
+            for lower in (False, True):
+                pairs = [(r, s) for r in range(k) for s in range(k) if (r > s) == lower]
+                expected = _gram_per_double_coset(G, H, pairs)
+                assert list(_mackey_sums(G, H, pairs)) == expected, (name, H.order)
+    assert kinds == {"trivial", "normal", "self-normalizing", "other"}
+
+
+def _with_h_table(monkeypatch, H, table):
+    HG = H.as_group()
+    real = frobenius.character_table
+    monkeypatch.setattr(frobenius, "character_table", lambda X: table if X is HG else real(X))
+
+
+def test_mackey_refuses_a_permuted_row_missing_from_the_table(monkeypatch):
+    # A3 in S3: a transposition normalizes it and swaps the two classes of
+    # 3-cycles, so it sends the row of omega to that of omega^2; with that
+    # row overwritten by the row of omega, the image is not in the table
+    S3 = group("S3")
+    H = subgroup_of_order(S3, 3)
+    t = character_table(H.as_group())
+    _with_h_table(monkeypatch, H, tampered_table(t, 2, t.values[1]))
+    with pytest.raises(InternalInconsistency, match="permuted character row not in table"):
+        list(_mackey_sums(S3, H, [(0, 0), (1, 2)]))
+
+
+def test_mackey_refuses_a_non_integral_summand_off_the_normalizer(monkeypatch):
+    # S3 in S4 is self-normalizing and meets its other conjugates in order 2;
+    # the sign character with 0 at the transpositions has norm 1/2 there
+    S4 = group("S4")
+    H = subgroup_of_order(S4, 6)
+    t = character_table(H.as_group())
+    sign = next(r for r in range(1, t.k) if t.degrees[r] == 1)
+    c = t.classes.element_orders.index(2)
+    row = list(t.values[sign])
+    row[c] = Cyclotomic.from_int(0)
+    _with_h_table(monkeypatch, H, tampered_table(t, sign, row))
+    assert sorted(map(len, _mackey_intersections(S4, H))) == [2, 6]
+    with pytest.raises(InternalInconsistency, match="not an integer"):
+        list(_mackey_sums(S4, H, [(sign, sign)]))
 
 
 def test_is_rich_examples():

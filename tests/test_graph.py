@@ -137,6 +137,47 @@ def test_irr_action_orbits_examples():
     assert irr_action_orbits(D12, K)[0] == 2
 
 
+def test_irr_action_orbits_on_every_nontrivial_normal_subgroup():
+    # pinned outputs, in subgroup-enumeration order
+    expected = {
+        "S4": [(4, ((0,), (1, 2, 3))), (12, ((0,), (1, 2), (3,))), (24, tuple((i,) for i in range(5)))],
+        "Named:G351": [
+            (27, (
+                (0,),
+                (1, 2, 4, 5, 7, 9, 12, 15, 16, 22, 23, 24, 25),
+                (3, 6, 8, 10, 11, 13, 14, 17, 18, 19, 20, 21, 26),
+            )),
+            (351, tuple((i,) for i in range(15))),
+        ],
+        "AGL1:13": [
+            (13, ((0,), tuple(range(1, 13)))),
+            (26, ((0,), (1,), (2, 3, 4, 5, 6, 7))),
+            (39, ((0,), (1,), (2,), (3, 4, 5, 6))),
+            (52, ((0,), (1,), (2,), (3,), (4, 5, 6))),
+            (78, ((0,), (1,), (2,), (3,), (4,), (5,), (6, 7))),
+            (156, tuple((i,) for i in range(13))),
+        ],
+        "Named:D12": [
+            (2, ((0,), (1,))),
+            (3, ((0,), (1, 2))),
+            (6, ((0,), (1,), (2,))),
+            (6, ((0,), (1,), (2,))),
+            (6, ((0,), (1,), (2, 3), (4, 5))),
+            (12, tuple((i,) for i in range(6))),
+        ],
+    }
+    for name, pinned in expected.items():
+        G = group(name)
+        got = []
+        for cls in enumerate_subgroup_classes(G):
+            K = cls.rep
+            if K.is_normal() and not K.is_trivial():
+                cnt, orbits = irr_action_orbits(G, K)
+                assert cnt == len(orbits)
+                got.append((K.order, orbits))
+        assert got == pinned, name
+
+
 def test_dot_export():
     S3 = group("S3")
     H = S3.subgroup([Permutation.from_cycles(3, [(0, 1)])])

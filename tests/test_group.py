@@ -468,6 +468,15 @@ def test_no_table_above_the_cutoff(name, classes):
     assert G._rows is None
 
 
+@pytest.mark.parametrize("name", ["C1", "C2", "S4", "A5", "PSL2:8", "PSL2:11", "AGL1:25", "EA:2:4"])
+def test_table_path_inverses_match_a_row_search(name):
+    # the inverses read along the search words agree with the identity's
+    # position in each row of the multiplication table
+    G = group(name)
+    assert G._rows is not None
+    assert list(G._inverses) == [row.index(0) for row in G._rows]
+
+
 def test_conjugation_steps_above_the_cutoff():
     # conj composes base images; the steps read whole conj_map rows, cached
     # for the generators only
