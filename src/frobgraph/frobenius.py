@@ -245,7 +245,7 @@ def mackey_inner_product(G, H, phi_idx, psi_idx):
     phi <= psi are one batch and those with phi > psi another, each computed
     on first use: a check of the symmetric S usually reads one triangle.
     """
-    k = frobenius_matrix(G, H).n_rows
+    k = character_table(H.as_group()).k
     r, s = range(k)[phi_idx], range(k)[psi_idx]
     totals = _mackey_totals(H)
     if (r, s) not in totals:

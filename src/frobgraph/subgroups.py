@@ -8,17 +8,24 @@ a chain of such prime extensions, so the sweep is complete.  Conjugacy
 dedup keeps the full orbit of every discovered class in one hash set, so a
 repeat candidate costs one lookup.
 
-Two facts bound the perfect seeds.  Every perfect subgroup P lies in the
+Three facts bound the perfect seeds.  Every perfect subgroup P lies in the
 solvable residual D, the last term of the derived series, since P = P'
 lies in every term.  A perfect group has no subgroup of index 2, 3 or 4,
 since its action on the cosets would map it onto a nontrivial perfect
 subgroup of the solvable S2, S3 or S4.  So seeding pairs are taken in D,
 and a closure is cut off once its index in D falls below 5: it is then D.
+Every element order divides |<x, y>| (Lagrange), so the lcm of the orders
+of x, y and a few short words in them, read off the class table, names the
+registrable orders <x, y> can have: a pair with none is never closed, and
+any other is closed only up to the largest of them.  A pair whose y lies in
+an earlier class than x is not taken: it spans a conjugate of the subgroup
+of an earlier pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .cyclo import is_prime
 from .errors import DeskScaleExceeded
@@ -39,6 +46,7 @@ from .group import (
     powers,
     right_multiplications,
     solvable_residual,
+    _commutator,
     _greedy_generators,
 )
 
@@ -129,7 +137,7 @@ class _Enumerator:
     def _seed_perfect(self):
         """Perfect subgroups by two-generator closure over class-rep pairs.
 
-        Two facts bound the search.  Every perfect subgroup P lies in the
+        Three facts bound the search.  Every perfect subgroup P lies in the
         solvable residual D: P = P' = P'' = ... lies in every term of the
         derived series.  A perfect group has no subgroup of index 2, 3 or 4:
         its action on the cosets maps it to a perfect subgroup of S2, S3 or
@@ -137,6 +145,9 @@ class _Enumerator:
         holds the kernel, the whole group.  So both generators are taken in
         D, a closure stops past the largest registrable order of index at
         least 5 in D, and a pair of D whose closure passes |D|/5 generates D.
+        Once D is registered, every element order divides |<x, y>|, so
+        `_pair_cap` skips a pair whose element orders no registrable order
+        admits and caps every other closure at the largest one that does.
 
         Complete as long as every perfect subgroup is 2-generated, which
         holds well beyond the desk cap; the guard below refuses the first
@@ -149,41 +160,83 @@ class _Enumerator:
             )
         D = solvable_residual(G)[0]
         order = len(D)
-        # the largest order registered below: a divisor of |D| of index at
-        # least 5, at least 60 and divisible by 12; a closure past it is skipped
-        cap = max((d for d in range(60, order // 5 + 1, 12) if order % d == 0), default=0)
+        # the orders registered below; a closure past them is skipped
+        registrable = _registrable_orders(order)
         # until D is registered, closures run to |D|/5, and one past it is D
         pending = order < G.order
-        if not (cap or pending):
+        if not (registrable or pending):
             return
         cd = conjugacy_classes(G)
-        for i in range(1, len(cd)):
-            x = cd.rep_indices[i]
-            if x not in D:
+        for x, y in _seeding_pairs(G, cd, D):
+            if pending:
+                limit = order // 5
+            else:
+                limit = _pair_cap(G, cd, x, y, registrable)
+                if not limit:
+                    continue
+            members = orbit(0, right_multiplications(G, (x, y)), limit)
+            if members is None:
+                if pending:
+                    self.register(D, (x, y))
+                    pending = False
+                    if not registrable:
+                        return
                 continue
-            cyclic_x = closure_indices(G, (x,))
-            cent = frozenset(conjugators(G, (x,), (x,)))
-            cent_gens = _greedy_generators(G, cent)
-            # one y per orbit of the centralizer of x acting by conjugation
-            for points in orbit_partition(G.order, conjugations(G, cent_gens)):
-                y = points[0]
-                if y in cyclic_x or y not in D:
-                    continue
-                members = orbit(0, right_multiplications(G, (x, y)), order // 5 if pending else cap)
-                if members is None:
-                    if pending:
-                        self.register(D, (x, y))
-                        pending = False
-                        if not cap:
-                            return
-                    continue
-                n = len(members)
-                if n < 60 or n % 12:
-                    continue
-                if frozenset(members) in self.seen:
-                    continue
-                if len(derived_subset(G, (x, y))) == n:
-                    self.register(members, (x, y))
+            n = len(members)
+            if n < 60 or n % 12:
+                continue
+            if frozenset(members) in self.seen:
+                continue
+            if len(derived_subset(G, (x, y))) == n:
+                self.register(members, (x, y))
+
+
+def _registrable_orders(n):
+    """The orders seeding registers in a residual of order n, largest first:
+    divisors of n of index at least 5, at least 60 and divisible by 12."""
+    return [d for d in reversed(range(60, n // 5 + 1, 12)) if n % d == 0]
+
+
+def _seeding_pairs(G, cd, D):
+    """The pairs (x, y) of D that perfect seeding closes: x runs over the
+    class representatives in D, y over one point of each orbit of the
+    centralizer of x acting by conjugation, outside <x>.
+
+    y is taken only from x's class or a later one.  If y lies in an earlier
+    class j, some g conjugates <x, y> to <x_j, x^g>, and an earlier pair
+    (x_j, y') spans a conjugate of it: every outcome of the later pair, a
+    registration or a reason to drop it, was already met there.
+    """
+    cls = cd.class_of_index
+    for i in range(1, len(cd)):
+        x = cd.rep_indices[i]
+        if x not in D:
+            continue
+        cyclic_x = closure_indices(G, (x,))
+        cent = frozenset(conjugators(G, (x,), (x,)))
+        cent_gens = _greedy_generators(G, cent)
+        for points in orbit_partition(G.order, conjugations(G, cent_gens)):
+            y = points[0]
+            if cls[y] >= i and y not in cyclic_x and y in D:
+                yield x, y
+
+
+def _pair_cap(G, cd, x, y, registrable):
+    """The largest of the orders `registrable` (largest first) that <x, y>
+    can have, or 0 when it can have none.
+
+    Every element order divides |<x, y>|, so the lcm of the orders of x, y
+    and a fixed handful of short words in them does; each order is two
+    table lookups.
+    """
+    mult, cls, orders = G.mult, cd.class_of_index, cd.element_orders
+    xy = mult(x, y)
+    words = (
+        x, y, xy, mult(x, G.inverse(y)), _commutator(G, x, y),
+        mult(mult(x, x), y), mult(x, mult(y, y)), mult(xy, xy),
+    )
+    ell = lcm(*(orders[cls[w]] for w in words))
+    return next((d for d in registrable if d % ell == 0), 0)
 
 
 @kept_on("_subgroup_classes")

@@ -138,6 +138,14 @@ def test_mackey_examples():
     assert mackey_inner_product(S3, H, 0, 1) == 1
 
 
+def test_mackey_oracle_builds_no_frobenius_matrix():
+    S4 = group("S4")
+    H = S4.subgroup([Permutation.from_cycles(4, [(0, 1, 2)]), Permutation.from_cycles(4, [(0, 1)])])
+    assert H.order == 6
+    assert mackey_inner_product(S4, H, 0, 0) == len(double_coset_reps(S4, H)) == 2
+    assert "_fmatrix" not in H.__dict__
+
+
 def test_mackey_equals_gram_small_sweep():
     from frobgraph.subgroups import enumerate_subgroup_classes
 
